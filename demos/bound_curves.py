@@ -20,9 +20,10 @@ models = {
 }
 
 print("non-uniform bound (|EF| + d)(sqrt(P(|F|>|z|/2)) + 2 e^{-z^2/4}), d = sqrt(2):")
+table_z = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
+columns = [bounds.evaluate_curve(bounds.BoundInputs(0.0, SQRT2, mod), table_z).bounds for mod in models.values()]
 print(f"{'z':>4} " + " ".join(f"{name:>12}" for name in models))
-for z in (0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0):
-    row = [bounds.nonuniform_bound(bounds.BoundInputs(0.0, SQRT2, mod), z) for mod in models.values()]
+for z, row in zip(table_z, zip(*columns)):
     print(f"{z:4.1f} " + " ".join(f"{v:12.6f}" for v in row))
 print(f"\nuniform baseline (constant in z): {SQRT2:.6f}")
 

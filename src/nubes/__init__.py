@@ -19,7 +19,6 @@ from . import bounds, chaos, cli, empirical, expfun, gaussian, sampling
 from .bounds import (
     BoundCurve,
     BoundInputs,
-    BoundRow,
     EmpiricalTail,
     ExactCdfTail,
     ExpFunTail,
@@ -42,7 +41,6 @@ from .empirical import (
     certify,
     discrepancy_curve,
     dkw_epsilon,
-    empirical_tail,
 )
 from .expfun import ExpFunMoments, ExpFunParams, PathConfig, Scheme, clt_rate_bound
 from .gaussian import (

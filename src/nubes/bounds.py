@@ -8,8 +8,11 @@ where d is a Stein discrepancy (either the Malliavin inner-product form or
 the Skorokhod-integrand form; the arithmetic is identical and only the
 provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
 exact CDF, Markov, chaos concentration, exponential-functional concentration,
-empirical, or the constant 1.  Tail values are clamped to [0, 1]; clamping
-only tightens the bound since the modeled quantity is a probability.
+empirical, or the constant 1.  A tail model is a callable from an array of
+x >= 0 to an array of tail values; `tail_probability` validates x and clamps
+the values to [0, 1] (clamping only tightens the bound since the modeled
+quantity is a probability).  `evaluate_curve` is one array expression over
+the whole grid and returns the columnar `BoundCurve`.
 
 The chaos specialization for a variance-one multiple Wiener-Ito integral of
 order q >= 2 is provided as `chaos_bound` in its displayed closed form
@@ -21,8 +24,8 @@ curves should be read as a parametric family in c_q).  The z-independent
 discrepancy d itself is the uniform baseline the non-uniform curves are
 compared against.
 
-All evaluation is pure over immutable inputs; a curve may be partitioned
-across its grid arbitrarily with identical results.
+All evaluation is pure over immutable inputs and elementwise, so a curve may
+be partitioned across its grid arbitrarily with bit-identical results.
 """
 
 from __future__ import annotations
@@ -45,20 +48,20 @@ __all__ = [
     "EmpiricalTail",
     "ExpFunTail",
     "BoundInputs",
-    "BoundRow",
     "BoundCurve",
     "tail_probability",
     "nonuniform_bound",
     "chaos_bound",
     "uniform_bound",
     "evaluate_curve",
+    "calibrate_major_constant",
 ]
 
 
 class TailModel:
-    """Upper bound for P(|F| > x); subclasses implement the unclamped value."""
+    """Upper bound for P(|F| > x) at each x >= 0 of an array, before clamping to [0, 1]."""
 
-    def raw(self, x: float) -> float:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -66,8 +69,8 @@ class TailModel:
 class UnitTail(TailModel):
     """Constant 1 (the trivial tail bound)."""
 
-    def raw(self, x: float) -> float:
-        return 1.0
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -83,10 +86,11 @@ class MarkovTail(TailModel):
         if not (self.moment_p >= 0.0 and math.isfinite(self.moment_p)):
             raise ValueError(f"moment_p must be >= 0, got {self.moment_p}")
 
-    def raw(self, x: float) -> float:
-        if x == 0.0:
-            return 1.0
-        return self.moment_p / x**self.p
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        # the trivial bound 1 where x^p is 0: at x = 0, and where it underflows
+        xp = x**self.p
+        with np.errstate(over="ignore"):  # overflow gives inf, clamped to 1
+            return np.divide(self.moment_p, xp, out=np.ones_like(xp), where=xp > 0.0)
 
 
 @dataclass(frozen=True)
@@ -102,36 +106,41 @@ class MajorChaosTail(TailModel):
         if not (self.c_q > 0.0 and math.isfinite(self.c_q)):
             raise ValueError(f"c_q must be > 0, got {self.c_q}")
 
-    def raw(self, x: float) -> float:
-        return self.c_q**2 * math.exp(-(x ** (2.0 / self.q)) / 2.0)
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.c_q**2 * np.exp(-(x ** (2.0 / self.q)) / 2.0)
 
 
 @dataclass(frozen=True)
 class ExactCdfTail(TailModel):
-    """Exact two-sided tail 1 - cdf(x) + cdf(-x) of a continuous law."""
+    """Exact two-sided tail 1 - cdf(x) + cdf(-x) of a continuous law; `cdf` takes arrays."""
 
-    cdf: Callable[[float], float]
+    cdf: Callable[[np.ndarray], np.ndarray]
 
-    def raw(self, x: float) -> float:
-        return 1.0 - float(self.cdf(x)) + float(self.cdf(-x))
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return 1.0 - self.cdf(x) + self.cdf(-x)
 
 
 @dataclass(frozen=True)
 class EmpiricalTail(TailModel):
-    """Plug-in tail #{|sample| > x}/n from a sample set."""
+    """Plug-in tail #{|sample| > x}/n from the samples sorted ascending.
 
-    sorted_abs: np.ndarray = field(repr=False)
+    `EmpiricalCdf.sorted_samples` can be passed as is; `from_samples` sorts
+    and validates an unsorted sample set.
+    """
+
+    sorted_samples: np.ndarray = field(repr=False)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalTail":
         arr = np.asarray(samples, dtype=float)
         if arr.size == 0 or not np.all(np.isfinite(arr)):
             raise ValueError("samples must be nonempty and finite")
-        return cls(sorted_abs=np.sort(np.abs(arr)))
+        return cls(sorted_samples=np.sort(arr))
 
-    def raw(self, x: float) -> float:
-        n = self.sorted_abs.size
-        return 1.0 - np.searchsorted(self.sorted_abs, x, side="right") / n
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        s = self.sorted_samples
+        inside = np.searchsorted(s, x, side="right") - np.searchsorted(s, -x, side="left")
+        return 1.0 - inside / s.size
 
 
 @dataclass(frozen=True)
@@ -141,15 +150,32 @@ class ExpFunTail(TailModel):
     params: expfun.ExpFunParams
     moments: expfun.ExpFunMoments
 
-    def raw(self, x: float) -> float:
+    def __call__(self, x: np.ndarray) -> np.ndarray:
         return expfun.upper_tail_bound(x, self.params, self.moments) + expfun.lower_tail_bound(x)
 
 
-def tail_probability(model: TailModel, x: float) -> float:
-    """Evaluate a tail model at x >= 0, clamped into [0, 1]."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    return min(1.0, max(0.0, float(model.raw(x))))
+def calibrate_major_constant(samples: np.ndarray, q: int, xs) -> float:
+    """Smallest c with empirical P(|F| > x) <= c^2 exp(-x^{2/q}/2) on the xs grid.
+
+    Diagnostic only: the calibrated constant is a sample quantity on a finite
+    range, not a proof of the concentration inequality.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs < 0.0):
+        raise ValueError("calibration grid must be nonnegative")
+    c_sq = EmpiricalTail.from_samples(samples)(xs) * np.exp(xs ** (2.0 / q) / 2.0)
+    return float(np.sqrt(np.max(c_sq)))
+
+
+def tail_probability(model: TailModel, x):
+    """Evaluate a tail model at x >= 0 (scalar or array), clamped into [0, 1]."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa) & (xa >= 0.0)):
+        raise ValueError(f"x must be finite and >= 0, got {x!r}")
+    # a scalar is evaluated as a one-element array so that it takes the array
+    # code path (numpy scalar arithmetic can round differently)
+    out = np.clip(model(np.atleast_1d(xa)), 0.0, 1.0)
+    return float(out[0]) if xa.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -172,34 +198,18 @@ class BoundInputs:
 
 
 @dataclass(frozen=True)
-class BoundRow:
-    z: float
-    tail_term: float  # P(|F| > |z|/2), before the square root
-    gaussian_term: float  # 2 e^{-z^2/4}
-    bound: float
-
-
-@dataclass(frozen=True)
 class BoundCurve:
-    rows: tuple[BoundRow, ...]
+    """The bound and its two terms as columns over the grid, in grid order."""
 
-    @property
-    def z(self) -> np.ndarray:
-        return np.array([r.z for r in self.rows])
-
-    @property
-    def bounds(self) -> np.ndarray:
-        return np.array([r.bound for r in self.rows])
+    z: np.ndarray
+    tail_term: np.ndarray  # P(|F| > |z|/2), before the square root
+    gaussian_term: np.ndarray  # 2 e^{-z^2/4}
+    bounds: np.ndarray
 
 
 def nonuniform_bound(inputs: BoundInputs, z: float) -> float:
     """(|E F| + d) * (sqrt(tail(|z|/2)) + 2 e^{-z^2/4}); even in z."""
-    if not math.isfinite(z):
-        raise ValueError(f"z must be finite, got {z}")
-    tail = tail_probability(inputs.tail, abs(z) / 2.0)
-    return (inputs.mean_abs + inputs.stein_discrepancy) * (
-        math.sqrt(tail) + 2.0 * math.exp(-z * z / 4.0)
-    )
+    return float(evaluate_curve(inputs, [z]).bounds[0])
 
 
 def chaos_bound(q: int, fourth_moment: float, c_q: float, z: float) -> float:
@@ -208,11 +218,6 @@ def chaos_bound(q: int, fourth_moment: float, c_q: float, z: float) -> float:
         raise ValueError(f"q must be an integer >= 2, got {q}")
     if not (c_q > 0.0 and math.isfinite(c_q)):
         raise ValueError(f"c_q must be > 0, got {c_q}")
-    if fourth_moment < 3.0:
-        raise ValueError(
-            f"fourth_moment={fourth_moment} < 3 violates the fourth-moment inequality "
-            "for a variance-one chaos of order >= 2"
-        )
     d = stein_discrepancy_upper(fourth_moment, q)
     az = abs(z)
     return d * (
@@ -227,17 +232,11 @@ def uniform_bound(inputs: BoundInputs) -> float:
 
 
 def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:
-    """One BoundRow per grid point, in grid order."""
-    zs = np.atleast_1d(np.asarray(grid, dtype=float))
-    if zs.size == 0:
-        raise ValueError("grid must be nonempty")
-    rows = []
-    for z in zs:
-        try:
-            tail = tail_probability(inputs.tail, abs(z) / 2.0)
-            gauss = 2.0 * math.exp(-z * z / 4.0)
-            bound = (inputs.mean_abs + inputs.stein_discrepancy) * (math.sqrt(tail) + gauss)
-        except Exception as exc:
-            raise ValueError(f"bound evaluation failed at z={z}: {exc}") from exc
-        rows.append(BoundRow(z=float(z), tail_term=tail, gaussian_term=gauss, bound=bound))
-    return BoundCurve(rows=tuple(rows))
+    """The bound at every grid point, with its tail and Gaussian terms."""
+    z = np.atleast_1d(np.asarray(grid, dtype=float))
+    if z.size == 0 or not np.all(np.isfinite(z)):
+        raise ValueError("grid must be nonempty and finite")
+    tail = tail_probability(inputs.tail, np.abs(z) / 2.0)
+    gauss = 2.0 * np.exp(-z * z / 4.0)
+    bounds = (inputs.mean_abs + inputs.stein_discrepancy) * (np.sqrt(tail) + gauss)
+    return BoundCurve(z=z, tail_term=tail, gaussian_term=gauss, bounds=bounds)

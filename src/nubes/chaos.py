@@ -6,14 +6,16 @@ e_1, ..., e_m and coefficients alpha_i has the exact representation
     F = sum_i alpha_i * H_q(N_i),      N_i iid standard normal,
 
 where H_q is the probabilists' Hermite polynomial.  This makes F samplable
-without discretization bias and gives closed-form moments for q = 2:
-writing kappa_2 = 2 * sum alpha_i^2 and kappa_4 = 48 * sum alpha_i^4
-(cumulants of the weighted sum of centered chi-squares),
+without discretization bias and gives closed-form moments for every q: the
+terms are independent with E (alpha_i H_q(N_i))^2 = alpha_i^2 q!, so for a
+variance-one F
 
-    Var F  = kappa_2,          E F^4 = 3 * kappa_2^2 + kappa_4.
+    E F^4 = 3 + (E H_q^4 - 3 (q!)^2) * sum alpha_i^4,
+    E H_q^4 = sum_{r=0}^{q} (r! C(q, r)^2)^2 (2q - 2r)!
 
-For q >= 3 the fourth moment is estimated by Monte Carlo with a reported
-standard error.  The fourth-moment discrepancy
+(the second line from the product formula H_q^2 = sum_r r! C(q, r)^2
+H_{2q-2r}); at q = 2 this is the cumulant form 3 + 48 sum alpha_i^4.
+The fourth-moment discrepancy
 
     d = sqrt((q - 1) / (3 q) * (E F^4 - 3))
 
@@ -30,7 +32,6 @@ everything else is pure.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,12 +48,10 @@ __all__ = [
     "sample",
     "sample_batch",
     "fourth_moment",
-    "fourth_moment_mc",
     "stein_discrepancy_upper",
     "chaos_moments",
     "exact_cdf_q2_rank1",
     "exact_abs_tail_q2_rank1",
-    "calibrate_major_constant",
 ]
 
 SAMPLE_CHUNK = 1 << 18  # fixed chunk size of the parallel sampling layout
@@ -85,7 +84,6 @@ class ChaosMoments:
 
     variance: float
     fourth_moment: float
-    fourth_moment_se: float
     discrepancy_upper: float
 
 
@@ -147,64 +145,35 @@ def sample_batch(
     return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, chunk_size, workers)
 
 
-def fourth_moment(
-    spec: DiagonalChaosSpec,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 200_000,
-) -> tuple[float, float]:
-    """E F^4 of the variance-one spec, with its standard error.
-
-    q = 2 uses the exact cumulant formula (standard error 0); q >= 3 falls
-    back to Monte Carlo and needs an rng.
-    """
+def fourth_moment(spec: DiagonalChaosSpec) -> float:
+    """Exact E F^4 of the variance-one spec, for any order q."""
     _require_normalized(spec)
-    if spec.q == 2:
-        # unit variance means kappa_2 = 1, so E F^4 = 3 + kappa_4
-        return 3.0 + 48.0 * float(sum(a**4 for a in spec.alphas)), 0.0
-    if rng is None:
-        raise ValueError(f"q={spec.q} has no closed-form fourth moment; pass an rng for Monte Carlo")
-    w = rng.standard_normal((n_samples, len(spec.alphas)))
-    f4 = (hermite(spec.q, w) @ np.asarray(spec.alphas)) ** 4
-    return float(np.mean(f4)), float(np.std(f4, ddof=1) / math.sqrt(n_samples))
-
-
-def fourth_moment_mc(spec: DiagonalChaosSpec, n_samples: int, seed: int, workers: int = 1) -> tuple[float, float]:
-    """Monte Carlo E F^4 on the reproducible substream layout, for any q."""
-    _require_normalized(spec)
-    f4 = sample_batch(spec, n_samples, seed, workers=workers) ** 4
-    return float(np.mean(f4)), float(np.std(f4, ddof=1) / math.sqrt(n_samples))
+    q = spec.q
+    hermite4 = sum(
+        (math.factorial(r) * math.comb(q, r) ** 2) ** 2 * math.factorial(2 * q - 2 * r)
+        for r in range(q + 1)
+    )
+    return 3.0 + (hermite4 - 3 * math.factorial(q) ** 2) * float(sum(a**4 for a in spec.alphas))
 
 
 def stein_discrepancy_upper(fourth_moment_value: float, q: int) -> float:
-    """sqrt((q-1)/(3q) * (E F^4 - 3)) for a variance-one chaos of order q.
-
-    Monte Carlo noise can push the radicand below zero; it is clamped to zero
-    with a warning since the true quantity is nonnegative.
-    """
+    """sqrt((q-1)/(3q) * (E F^4 - 3)) for a variance-one chaos of order q."""
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-    radicand = (q - 1) / (3.0 * q) * (fourth_moment_value - 3.0)
-    if radicand < 0.0:
-        warnings.warn(
-            f"fourth moment {fourth_moment_value} below 3 (Monte Carlo noise); clamping discrepancy to 0",
-            stacklevel=2,
+    if fourth_moment_value < 3.0:
+        raise ValueError(
+            f"fourth_moment={fourth_moment_value} < 3 violates the fourth-moment inequality "
+            "for a variance-one chaos of order >= 2"
         )
-        return 0.0
-    return math.sqrt(radicand)
+    return math.sqrt((q - 1) / (3.0 * q) * (fourth_moment_value - 3.0))
 
 
-def chaos_moments(
-    spec: DiagonalChaosSpec,
-    rng: np.random.Generator | None = None,
-    n_samples: int = 200_000,
-) -> ChaosMoments:
+def chaos_moments(spec: DiagonalChaosSpec) -> ChaosMoments:
     """Variance plus fourth-moment data of the normalized spec."""
-    var = variance(spec)
-    m4, se = fourth_moment(normalize(spec), rng=rng, n_samples=n_samples)
+    m4 = fourth_moment(normalize(spec))
     return ChaosMoments(
-        variance=var,
+        variance=variance(spec),
         fourth_moment=m4,
-        fourth_moment_se=se,
         discrepancy_upper=stein_discrepancy_upper(m4, spec.q),
     )
 
@@ -232,19 +201,3 @@ def exact_abs_tail_q2_rank1(x):
     lower = np.where(low_arg > 0.0, 2.0 * normal_cdf(np.sqrt(np.maximum(low_arg, 0.0))) - 1.0, 0.0)
     out = upper + lower
     return float(out) if xa.ndim == 0 else out
-
-
-def calibrate_major_constant(samples: np.ndarray, q: int, xs) -> float:
-    """Smallest c with empirical P(|F| > x) <= c^2 exp(-x^{2/q}/2) on the xs grid.
-
-    Diagnostic only: the calibrated constant is a sample quantity on a finite
-    range, not a proof of the concentration inequality.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("calibration grid must be nonnegative")
-    abs_sorted = np.sort(np.abs(np.asarray(samples, dtype=float)))
-    n = abs_sorted.size
-    p_hat = 1.0 - np.searchsorted(abs_sorted, xs, side="right") / n
-    c_sq = p_hat * np.exp(xs ** (2.0 / q) / 2.0)
-    return float(np.sqrt(np.max(c_sq)))

@@ -26,7 +26,6 @@ __all__ = [
     "build_ecdf",
     "discrepancy_curve",
     "dkw_epsilon",
-    "empirical_tail",
     "certify",
 ]
 
@@ -98,13 +97,6 @@ def dkw_epsilon(n: int, delta: float) -> float:
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-def empirical_tail(ecdf: EmpiricalCdf, x: float) -> float:
-    """P_hat(|F| > x) = #{|sample| > x}/n, x >= 0."""
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    return float(np.count_nonzero(np.abs(ecdf.sorted_samples) > x)) / ecdf.n
-
-
 @dataclass(frozen=True)
 class CertifyReport:
     """Per-point violation flags plus summary; exit semantics 0 = no violations."""
@@ -134,11 +126,9 @@ def certify(
     if k < 0.0 or not math.isfinite(k):
         raise ValueError(f"slack k must be finite and >= 0, got {k}")
     if isinstance(bound_curve, BoundCurve):
-        if len(curve) != len(bound_curve.rows) or any(
-            row.z != brow.z for row, brow in zip(curve, bound_curve.rows)
-        ):
+        if not np.array_equal([row.z for row in curve], bound_curve.z):
             raise ValueError("discrepancy grid and bound grid do not match")
-        bounds = [brow.bound for brow in bound_curve.rows]
+        bounds = bound_curve.bounds.tolist()
     else:
         bounds = [float(b) for b in bound_curve]
         if len(bounds) != len(curve):

@@ -51,7 +51,6 @@ __all__ = [
     "standardize",
     "upper_tail_bound",
     "lower_tail_bound",
-    "two_sided_tail",
     "discrepancy_sq_upper",
     "clt_rate_bound",
 ]
@@ -226,13 +225,6 @@ def lower_tail_bound(x):
         raise ValueError(f"x must be >= 0, got {x!r}")
     out = np.exp(-(xa**2) / 2.0)
     return float(out) if xa.ndim == 0 else out
-
-
-def two_sided_tail(z, params: ExpFunParams, m: ExpFunMoments):
-    """P(|F~_t| > |z|/2) bounded by the sum of the one-sided bounds, clamped to 1."""
-    za = np.abs(np.asarray(z, dtype=float)) / 2.0
-    out = np.minimum(1.0, upper_tail_bound(za, params, m) + lower_tail_bound(za))
-    return float(out) if np.ndim(z) == 0 else out
 
 
 def discrepancy_sq_upper(params: ExpFunParams, m: ExpFunMoments) -> float:

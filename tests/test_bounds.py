@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nubes import bounds, chaos, expfun
 from nubes.bounds import (
@@ -154,6 +156,8 @@ class TestNonuniformBound:
     def test_rejects_non_finite_z(self):
         with pytest.raises(ValueError):
             bounds.nonuniform_bound(BoundInputs(0.0, 1.0, UnitTail()), math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [0.0, math.nan])
 
 
 class TestChaosBound:
@@ -218,20 +222,23 @@ class TestEvaluateCurve:
     def test_singleton(self):
         inputs = BoundInputs(0.0, SQRT2, UnitTail())
         curve = bounds.evaluate_curve(inputs, [0.0])
-        assert len(curve.rows) == 1
-        assert curve.rows[0].bound == bounds.nonuniform_bound(inputs, 0.0)
+        for column in (curve.z, curve.tail_term, curve.gaussian_term, curve.bounds):
+            assert column.shape == (1,)
+        assert curve.bounds[0] == bounds.nonuniform_bound(inputs, 0.0)
 
     def test_symmetric_grid(self):
         inputs = BoundInputs(0.0, SQRT2, exact_tail_model())
         curve = bounds.evaluate_curve(inputs, [-1.0, 1.0])
-        assert curve.rows[0].bound == curve.rows[1].bound
+        assert curve.bounds[0] == curve.bounds[1]
 
     def test_row_decomposition_invariant(self):
         inputs = BoundInputs(0.25, SQRT2, MarkovTail(p=6.0, moment_p=755.0))
         curve = bounds.evaluate_curve(inputs, np.linspace(-8, 8, 33))
-        for row in curve.rows:
-            recomposed = (0.25 + SQRT2) * (math.sqrt(row.tail_term) + row.gaussian_term)
-            assert abs(row.bound - recomposed) <= 1e-15
+        for z, tail, gauss, bound in zip(curve.z, curve.tail_term, curve.gaussian_term, curve.bounds):
+            assert tail == bounds.tail_probability(inputs.tail, abs(z) / 2.0)
+            assert abs(gauss - 2.0 * math.exp(-z * z / 4.0)) <= 1e-15
+            recomposed = (0.25 + SQRT2) * (math.sqrt(tail) + gauss)
+            assert abs(bound - recomposed) <= 1e-15
 
     def test_crossover_below_uniform(self):
         inputs = BoundInputs(0.0, SQRT2, exact_tail_model())
@@ -251,19 +258,65 @@ class TestEvaluateCurve:
         inputs = BoundInputs(0.0, 1.0, UnitTail())
         grid = [3.0, -1.0, 2.0]
         curve = bounds.evaluate_curve(inputs, grid)
-        assert [r.z for r in curve.rows] == grid
-
-    def test_error_carries_offending_z(self):
-        def broken_cdf(x):
-            raise RuntimeError("boom")
-
-        inputs = BoundInputs(0.0, 1.0, ExactCdfTail(cdf=broken_cdf))
-        with pytest.raises(ValueError, match="z=1.5"):
-            bounds.evaluate_curve(inputs, [1.5])
+        assert curve.z.tolist() == grid
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [])
+
+
+@st.composite
+def tail_models(draw):
+    """One of the six tail models with random parameters."""
+    kind = draw(st.sampled_from(("unit", "markov", "major", "exact", "empirical", "expfun")))
+    if kind == "unit":
+        return UnitTail()
+    if kind == "markov":
+        return MarkovTail(p=draw(st.floats(0.5, 8.0)), moment_p=draw(st.floats(0.0, 1e3)))
+    if kind == "major":
+        return MajorChaosTail(q=draw(st.integers(2, 6)), c_q=draw(st.floats(0.1, 10.0)))
+    if kind == "exact":
+        return exact_tail_model()
+    if kind == "empirical":
+        samples = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40))
+        return EmpiricalTail.from_samples(samples)
+    params = expfun.ExpFunParams(a=draw(st.floats(-2.0, 2.0)), t=draw(st.floats(0.02, 2.0)))
+    return ExpFunTail(params=params, moments=expfun.moments(params))
+
+
+_grids = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=60)
+
+
+class TestVectorizedEqualsScalar:
+    """Array evaluation is elementwise: any partition of a grid gives the same bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_models(), _grids, st.floats(0.0, 3.0), st.floats(0.0, 3.0))
+    def test_curve_equals_pointwise_bound(self, model, grid, mean_abs, d):
+        inputs = BoundInputs(mean_abs, d, model)
+        curve = bounds.evaluate_curve(inputs, grid)
+        assert curve.z.tolist() == grid
+        for i, z in enumerate(grid):
+            assert curve.bounds[i] == bounds.nonuniform_bound(inputs, z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_models(), _grids)
+    def test_tail_array_equals_scalar(self, model, grid):
+        xs = np.abs(np.asarray(grid)) / 2.0
+        tails = bounds.tail_probability(model, xs)
+        assert tails.shape == xs.shape
+        for i, x in enumerate(xs):
+            assert tails[i] == bounds.tail_probability(model, float(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40), _grids)
+    def test_empirical_tail_matches_sorted_abs_count(self, samples, grid):
+        # the sorted-|sample| count of P_hat(|F| > x), to the bit
+        xs = np.abs(np.asarray(grid)) / 2.0
+        sorted_abs = np.sort(np.abs(samples))
+        expected = 1.0 - np.searchsorted(sorted_abs, xs, side="right") / sorted_abs.size
+        got = bounds.tail_probability(EmpiricalTail.from_samples(samples), xs)
+        assert np.array_equal(got, expected)
 
 
 class TestMarkovDecayRate:

@@ -1,10 +1,9 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
-from nubes import chaos, empirical
+from nubes import bounds, chaos, empirical
 from nubes.sampling import substream
 from oracles import centered_chi1_moment, gaussian_moment, hermite_numpy
 
@@ -111,42 +110,49 @@ class TestSampling:
 
 class TestMoments:
     def test_fourth_moment_rank1_exact(self, rank1):
-        m4, se = chaos.fourth_moment(rank1)
+        m4 = chaos.fourth_moment(rank1)
         # E(N^2-1)^4 / 4 = 60/4 = 15 via the Gaussian moment oracle
         assert centered_chi1_moment(4) == 60
         assert abs(m4 - 15.0) <= 1e-12
-        assert se == 0.0
 
     def test_fourth_moment_equal_alphas(self):
         for m in (1, 4, 100, 10_000):
             spec = chaos.normalize(chaos.DiagonalChaosSpec(2, (1.0,) * m))
-            m4, _ = chaos.fourth_moment(spec)
+            m4 = chaos.fourth_moment(spec)
             assert abs(m4 - (3.0 + 12.0 / m)) <= 1e-10  # Gaussian limit as m grows
 
     def test_fourth_moment_q3_mc(self):
+        # E F^4 = 3 + (3348 - 3 * 36) / 36 = 93 for the rank-one q=3 law
         spec = chaos.normalize(chaos.DiagonalChaosSpec(3, (1.0,)))
-        m4, se = chaos.fourth_moment(spec, rng=substream(17, 0), n_samples=200_000)
-        assert se > 0.0
-        assert m4 >= 3.0 - 4.0 * se
+        assert abs(chaos.fourth_moment(spec) - 93.0) <= 1e-12
+        f4 = chaos.sample_batch(spec, 200_000, seed=17) ** 4
+        se = f4.std(ddof=1) / math.sqrt(f4.size)
+        assert abs(f4.mean() - 93.0) <= 4.0 * se
+
+    def test_fourth_moment_closed_form_matches_quadrature(self):
+        # tensor-product Gauss-Hermite rule, exact for F^4 (degree 4q <= 20 per axis)
+        nodes, weights = np.polynomial.hermite_e.hermegauss(60)
+        weights = weights / math.sqrt(2.0 * math.pi)
+        for q in (2, 3, 4, 5):
+            spec = chaos.normalize(chaos.DiagonalChaosSpec(q, (1.0, -0.5, 0.3)))
+            h = hermite_numpy(q, nodes)
+            a1, a2, a3 = spec.alphas
+            f = a1 * h[:, None, None] + a2 * h[None, :, None] + a3 * h[None, None, :]
+            w = weights[:, None, None] * weights[None, :, None] * weights[None, None, :]
+            quad = float(np.sum(w * f**4))
+            assert abs(chaos.fourth_moment(spec) / quad - 1.0) <= 1e-12, q
 
     def test_fourth_moment_requires_normalized(self):
         with pytest.raises(ValueError):
             chaos.fourth_moment(chaos.DiagonalChaosSpec(2, (1.0,)))
 
-    def test_fourth_moment_q3_requires_rng(self):
-        with pytest.raises(ValueError):
-            chaos.fourth_moment(chaos.normalize(chaos.DiagonalChaosSpec(3, (1.0,))))
-
     def test_discrepancy_upper(self):
         assert abs(chaos.stein_discrepancy_upper(15.0, 2) - math.sqrt(2.0)) <= 1e-14
         assert chaos.stein_discrepancy_upper(3.0, 2) == 0.0
 
-    def test_discrepancy_clamps_with_warning(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            val = chaos.stein_discrepancy_upper(2.9, 2)
-        assert val == 0.0
-        assert any("clamping" in str(w.message) for w in caught)
+    def test_discrepancy_rejects_fourth_moment_below_3(self):
+        with pytest.raises(ValueError, match="fourth-moment"):
+            chaos.stein_discrepancy_upper(2.9, 2)
 
     def test_rank1_bound_attained(self):
         # for F = (N^2-1)/sqrt(2) the inner-product discrepancy is exactly
@@ -206,7 +212,8 @@ class TestExactCdf:
         x = 2.0
         p = chaos.exact_abs_tail_q2_rank1(x)
         se = math.sqrt(p * (1.0 - p) / ecdf.n)
-        assert abs(empirical.empirical_tail(ecdf, x) - p) <= 4.0 * se
+        tail = bounds.EmpiricalTail(sorted_samples=ecdf.sorted_samples)
+        assert abs(bounds.tail_probability(tail, x) - p) <= 4.0 * se
 
 
 class TestDistributionalProperties:
@@ -237,7 +244,7 @@ class TestDistributionalProperties:
 
     def test_major_tail_calibration_exists(self, chaos_q2_samples_1m):
         xs = np.linspace(0.0, 8.0, 33)
-        c = chaos.calibrate_major_constant(chaos_q2_samples_1m, q=2, xs=xs)
+        c = bounds.calibrate_major_constant(chaos_q2_samples_1m, q=2, xs=xs)
         assert math.isfinite(c) and 0.0 < c < 100.0
         ecdf_abs = np.sort(np.abs(chaos_q2_samples_1m))
         n = ecdf_abs.size

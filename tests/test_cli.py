@@ -178,6 +178,24 @@ class TestBoundOnlyScenario:
         assert code == 0
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["bound-only", "--discrepancy", "-1"], "stein_discrepancy"),
+        (["bound-only", "--discrepancy", "1", "--mean-abs", "-0.5"], "mean_abs"),
+        (["expfun-compare", "--t", "0", "--samples", "10"], "t must be > 0"),
+        (["expfun-compare", "--n-steps", "1", "--samples", "10"], "n_steps"),
+    ],
+    ids=["discrepancy", "mean-abs", "t", "n-steps"],
+)
+def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
+    # the CLI leaves these ranges to the library and reports its error
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--output", out]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_same_seed_same_bytes(self, tmp_path):
         args = ["chaos-compare", "--samples", "20000", "--seed", "11", "--z-count", "31"]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from nubes import bounds, chaos, empirical
-from nubes.bounds import BoundInputs, UnitTail
-from nubes.empirical import build_ecdf, certify, discrepancy_curve, dkw_epsilon, empirical_tail
+from nubes.bounds import BoundInputs, EmpiricalTail, UnitTail
+from nubes.empirical import build_ecdf, certify, discrepancy_curve, dkw_epsilon
 
 DKW_20000_001 = 0.011509037065006824  # sqrt(ln(200)/40000)
 
@@ -118,12 +118,20 @@ class TestDkwEpsilon:
             dkw_epsilon(0, 0.5)
 
 
+def empirical_tail(ecdf, x):
+    # the CLI's route: the tail model shares the ECDF's sorted samples
+    return bounds.tail_probability(EmpiricalTail(sorted_samples=ecdf.sorted_samples), x)
+
+
 class TestEmpiricalTail:
     def test_examples(self):
         e = build_ecdf([1.0, -2.0, 0.5])
         assert empirical_tail(e, 0.0) == 1.0  # all samples nonzero
         assert empirical_tail(e, 5.0) == 0.0
-        assert empirical_tail(e, 0.75) == 2.0 / 3.0
+        # the value is 1 - #{|sample| <= x}/n, which can differ from #{|sample| > x}/n in the last bit
+        assert empirical_tail(e, 0.75) == 1.0 - 1.0 / 3.0
+        assert empirical_tail(e, 2.0) == 0.0  # strict inequality at a negative sample
+        assert empirical_tail(e, 1.0) == 1.0 - 2.0 / 3.0  # and at a positive one
         with pytest.raises(ValueError):
             empirical_tail(e, -1.0)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nubes import expfun
+from nubes.bounds import ExpFunTail, tail_probability
 from nubes.expfun import ExpFunMoments, ExpFunParams, PathConfig, Scheme
 from oracles import expfun_mean_quad, expfun_variance_quad
 
@@ -198,10 +199,10 @@ class TestConcentrationBounds:
     def test_two_sided(self):
         params = ExpFunParams(a=0.0, t=0.1)
         m = expfun.moments(params)
-        assert expfun.two_sided_tail(0.0, params, m) == 1.0  # clamped from 2
+        tail = ExpFunTail(params=params, moments=m)
+        assert tail_probability(tail, 0.0) == 1.0  # clamped from 2
         expected = expfun.upper_tail_bound(2.0, params, m) + math.exp(-2.0)
-        assert abs(expfun.two_sided_tail(4.0, params, m) - expected) <= 1e-15
-        assert expfun.two_sided_tail(3.0, params, m) == expfun.two_sided_tail(-3.0, params, m)
+        assert abs(tail_probability(tail, 2.0) - expected) <= 1e-15
 
     def test_empirical_tails_respect_bounds(self, expfun_t01, expfun_t005):
         for data in (expfun_t01, expfun_t005):

@@ -1,0 +1,58 @@
+"""The benchmark harness still runs against the library.
+
+The tracer in perfbench/ hooks the library by name: the `bounds.TailModel`
+subclasses, `EmpiricalTail.from_samples(cls, samples)`,
+`EmpiricalCdf.evaluate`, the `grid` and `samples` parameters, and
+`cli._write(cfg, columns, rows, summary)` with a `len()`-able `rows`.  A
+refactor that renames one of them breaks the benchmark, not the library, so
+these checks run the harness itself in fresh interpreters.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    src = str(ROOT / "src")
+    return dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{path}" if path else src)
+
+
+def test_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "selftest.py")],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize(
+    "cli_args",
+    [
+        ["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact", "--z-count", "41"],
+        ["chaos-compare", "--q", "3", "--alphas", "1,0.5", "--tail", "empirical",
+         "--samples", "2000", "--z-count", "21", "--format", "json"],
+    ],
+    ids=["bound-only-exact", "chaos-compare-empirical"],
+)
+def test_traced_run(cli_args, tmp_path):
+    record_path, trace_dir, output = tmp_path / "record.json", tmp_path / "spans", tmp_path / "out"
+    trace_dir.mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "child.py"), str(time.perf_counter_ns()), str(record_path),
+         str(trace_dir), "--", *cli_args, "--output", str(output)],
+        cwd=ROOT, env=_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(record_path.read_text())["rc"] == 0
+    assert list(trace_dir.glob("spans-*.json"))
+    assert output.stat().st_size > 0

@@ -47,9 +47,7 @@ for z in (0.0, 2.0, 4.0, 6.0, 8.0):
     print(f"  z={z:3.0f}: bound={bounds.nonuniform_bound(inputs, z):.6f}")
 
 # the same certification the CLI performs, here in-process
-report = empirical.certify(
-    empirical.discrepancy_curve(ecdf, grid), bounds.evaluate_curve(inputs, grid), k=3.0
-)
+report = empirical.certify(empirical.discrepancy_curve(ecdf, grid), curve.bounds, k=3.0)
 print(f"\ncertification with slack k=3: violations={report.n_violations} "
       f"(exit status {report.exit_status})")
 

@@ -35,7 +35,6 @@ from .bounds import (
 from .chaos import ChaosMoments, DiagonalChaosSpec, exact_cdf_q2_rank1, hermite
 from .empirical import (
     CertifyReport,
-    DiscrepancyRow,
     EmpiricalCdf,
     build_ecdf,
     certify,

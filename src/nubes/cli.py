@@ -14,10 +14,13 @@ bound-only      Evaluate a bound curve (no sampling).
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
 Philox substreams keyed by chunk index, and reductions run in chunk order).
-Floats are serialized with Python repr (shortest round-trip, up to 17
-significant digits, '.' decimal separator).  CSV uses a header row, comma
-separators, and LF line endings.  JSON uses the documented insertion order
-and omits file paths so output is byte-comparable across locations.
+Each scenario builds its output as one numpy record array whose field names
+are the columns.  Floats are serialized with Python repr (shortest
+round-trip, up to 17 significant digits, '.' decimal separator), booleans as
+1/0 in CSV and true/false in JSON, strings as they are.  CSV uses a header
+row, comma separators, and LF line endings.  JSON uses the documented
+insertion order and omits file paths so output is byte-comparable across
+locations.
 
 Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 """
@@ -135,8 +138,17 @@ def _build_parser() -> _Parser:
 
 
 def _coerce(key: str, value, conv):
-    if key == "alphas" and isinstance(value, (list, tuple)):
+    # the converters would turn true into 1, 1.7 into 1 and null into 'None'
+    if key == "alphas" and isinstance(value, list):
+        if not all(type(v) in (int, float) for v in value):  # bool is not one of them
+            raise UsageError(f"config key 'alphas': expected a list of numbers, got {json.dumps(value)}")
         return ",".join(repr(float(v)) for v in value)
+    if conv is str and not isinstance(value, str):
+        raise UsageError(f"config key '{key}': expected a string, got {json.dumps(value)}")
+    if conv is not str and isinstance(value, bool):
+        raise UsageError(f"config key '{key}': expected a number, got {json.dumps(value)}")
+    if conv is int and isinstance(value, float) and not value.is_integer():
+        raise UsageError(f"config key '{key}': expected an integer, got {json.dumps(value)}")
     try:
         return conv(value)
     except (TypeError, ValueError) as exc:
@@ -223,40 +235,28 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
     return alphas
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+def _cells(column: np.ndarray) -> list[str]:
+    values = column.tolist()
+    if column.dtype == bool:
+        return ["1" if v else "0" for v in values]
+    return list(map(repr, values)) if column.dtype.kind == "f" else values
 
 
-def _json_value(value):
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    return float(value)
-
-
-def _write(cfg: dict, columns: list[str], rows: list[tuple], summary: dict):
+def _write(cfg: dict, summary: dict, rows: np.recarray):
     # parameters echoed in JSON exclude file paths and the worker count, so
     # bytes depend on neither where the output lands nor how it was computed
     params = {k: v for k, v in cfg.items() if k not in ("output", "format", "scenario", "workers")}
+    columns = list(rows.dtype.names)
     if cfg["format"] == "csv":
         lines = [",".join(columns)]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        lines.extend(map(",".join, zip(*(_cells(rows[name]) for name in columns))))
         text = "\n".join(lines) + "\n"
     else:
         payload = {
             "scenario": cfg["scenario"],
             "parameters": params,
             "columns": columns,
-            "rows": [[_json_value(v) for v in row] for row in rows],
+            "rows": rows.tolist(),
             "summary": summary,
         }
         text = json.dumps(payload, indent=2) + "\n"
@@ -267,35 +267,25 @@ def _write(cfg: dict, columns: list[str], rows: list[tuple], summary: dict):
             fh.write(text)
 
 
-def _grid(lo: float, hi: float, count: int) -> np.ndarray:
-    return np.linspace(lo, hi, count)
+def _lemma_flags(z: float, xs: np.ndarray) -> str:
+    if z <= 0.0:
+        return ""  # the envelope estimates are stated for z > 0
+    rep = gaussian.check_lemma(z, xs)
+    return "".join("1" if ok else "0" for ok in (rep.global_bound_ok, rep.center_value_ok, rep.center_derivative_ok))
 
 
 def _run_stein_check(cfg: dict) -> int:
-    zs = _grid(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    xs = _grid(cfg["x-min"], cfg["x-max"], cfg["x-count"])
-    columns = ["z", "x", "f", "f_prime", "ode_residual", "lemma_flags"]
-    rows = []
-    all_ok = True
-    for z in zs:
-        f = gaussian.stein_value(z, xs)
-        fp = gaussian.stein_derivative(z, xs)
-        res = gaussian.stein_ode_residual_fd(z, xs)
-        if z > 0.0:
-            rep = gaussian.check_lemma(z, xs)
-            flags = "".join(
-                "1" if ok else "0"
-                for ok in (rep.global_bound_ok, rep.center_value_ok, rep.center_derivative_ok)
-            )
-            all_ok = all_ok and flags == "111"
-        else:
-            flags = ""
-        rows.extend(
-            (float(z), float(x), float(fv), float(fpv), float(rv), flags)
-            for x, fv, fpv, rv in zip(xs, f, fp, res)
-        )
-    summary = {"all_envelope_checks_ok": bool(all_ok)}
-    _write(cfg, columns, rows, summary)
+    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
+    xs = np.linspace(cfg["x-min"], cfg["x-max"], cfg["x-count"])
+    kernels = (gaussian.stein_value, gaussian.stein_derivative, gaussian.stein_ode_residual_fd)
+    values = [np.concatenate([kernel(z, xs) for z in zs]) for kernel in kernels]
+    flags = np.array([_lemma_flags(z, xs) for z in zs], dtype="U3")
+    rows = np.rec.fromarrays(
+        [np.repeat(zs, xs.size), np.tile(xs, zs.size), *values, np.repeat(flags, xs.size)],
+        names="z,x,f,f_prime,ode_residual,lemma_flags",
+    )
+    all_ok = all(f in ("", "111") for f in flags)
+    _write(cfg, {"all_envelope_checks_ok": all_ok}, rows)
     return 0 if all_ok else 2
 
 
@@ -326,16 +316,11 @@ def _tail_model(cfg: dict, spec=None, ecdf=None) -> bounds.TailModel:
     raise UsageError(f"unknown tail model {kind!r}")
 
 
-_COMPARE_COLUMNS = [
-    "z", "empirical_cdf", "normal_cdf", "discrepancy", "se", "bound", "uniform_bound", "violated",
-]
-
-
-def _compare_rows(report: empirical.CertifyReport, uniform: float) -> list[tuple]:
-    return [
-        (r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound, uniform, r.violated)
-        for r in report.rows
-    ]
+def _compare_rows(report: empirical.CertifyReport, uniform: float) -> np.recarray:
+    r = report.rows
+    columns = [r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound,
+               np.full(len(r), uniform), r.violated]
+    return np.rec.fromarrays(columns, names="z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound,violated")
 
 
 def _run_chaos_compare(cfg: dict) -> int:
@@ -345,18 +330,18 @@ def _run_chaos_compare(cfg: dict) -> int:
     d = chaos.stein_discrepancy_upper(m4, spec.q)
     ecdf = empirical.build_ecdf(samples)
     tail = _tail_model(cfg, spec=spec, ecdf=ecdf)
-    zs = _grid(cfg["z-min"], cfg["z-max"], cfg["z-count"])
+    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
     inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=tail)
     bound_curve = bounds.evaluate_curve(inputs, zs)
     curve = empirical.discrepancy_curve(ecdf, zs)
-    report = empirical.certify(curve, bound_curve, k=cfg["slack-k"])
+    report = empirical.certify(curve, bound_curve.bounds, k=cfg["slack-k"])
     summary = {
         "fourth_moment": m4,
         "stein_discrepancy": d,
         "uniform_bound": bounds.uniform_bound(inputs),
         "violations": report.n_violations,
     }
-    _write(cfg, _COMPARE_COLUMNS, _compare_rows(report, bounds.uniform_bound(inputs)), summary)
+    _write(cfg, summary, _compare_rows(report, summary["uniform_bound"]))
     return report.exit_status
 
 
@@ -367,7 +352,7 @@ def _run_expfun_compare(cfg: dict) -> int:
     m = expfun.moments(params)
     f = expfun.sample_batch(params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"])
     standardized = expfun.standardize(f, m)
-    zs = _grid(cfg["z-min"], cfg["z-max"], cfg["z-count"])
+    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
     curve = empirical.discrepancy_curve(empirical.build_ecdf(standardized), zs)
     rate = expfun.clt_rate_bound(params, m, zs)
     note = "bound targets the exact law; sampled paths carry unquantified discretization bias"
@@ -381,19 +366,19 @@ def _run_expfun_compare(cfg: dict) -> int:
         "violations": report.n_violations,
         "note": note,
     }
-    _write(cfg, _COMPARE_COLUMNS, _compare_rows(report, uniform), summary)
+    _write(cfg, summary, _compare_rows(report, uniform))
     return report.exit_status
 
 
 def _run_bound_only(cfg: dict) -> int:
     tail = _tail_model(cfg)
     inputs = bounds.BoundInputs(mean_abs=cfg["mean-abs"], stein_discrepancy=cfg["discrepancy"], tail=tail)
-    zs = _grid(cfg["z-min"], cfg["z-max"], cfg["z-count"])
+    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
     curve = bounds.evaluate_curve(inputs, zs)
     uniform = bounds.uniform_bound(inputs)
-    columns = ["z", "tail_term", "gaussian_term", "bound", "uniform_bound"]
-    rows = [(*row, uniform) for row in zip(curve.z, curve.tail_term, curve.gaussian_term, curve.bounds)]
-    _write(cfg, columns, rows, {"uniform_bound": uniform})
+    columns = [curve.z, curve.tail_term, curve.gaussian_term, curve.bounds, np.full(zs.size, uniform)]
+    rows = np.rec.fromarrays(columns, names="z,tail_term,gaussian_term,bound,uniform_bound")
+    _write(cfg, {"uniform_bound": uniform}, rows)
     return 0
 
 

@@ -6,22 +6,25 @@ and certify the curve against a theoretical bound with a statistical slack of
 k standard errors (the bounds are statements about true probabilities, so the
 test must budget estimation noise).  The DKW band gives the uniform
 alternative to the pointwise slack.
+
+Curves and certification reports are numpy record arrays with one record per
+grid point: `r.discrepancy` reads one point's field and `curve.discrepancy`
+the whole column.  `certify` takes the bound values as one array aligned with
+the curve, so this module does not depend on how the bound was computed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .bounds import BoundCurve
 from .gaussian import normal_cdf
 
 __all__ = [
     "EmpiricalCdf",
-    "DiscrepancyRow",
     "CertifyReport",
     "build_ecdf",
     "discrepancy_curve",
@@ -53,39 +56,19 @@ def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
     return EmpiricalCdf(sorted_samples=np.sort(arr), n=int(arr.size))
 
 
-@dataclass(frozen=True)
-class DiscrepancyRow:
-    z: float
-    empirical_cdf: float
-    normal_cdf: float
-    discrepancy: float
-    standard_error: float
-    bound: float | None = None
-    violated: bool = False
-
-
-def discrepancy_curve(ecdf: EmpiricalCdf, grid: Sequence[float]) -> list[DiscrepancyRow]:
-    """|P_hat(F <= z) - Phi(z)| with binomial standard errors, per grid point."""
+def discrepancy_curve(ecdf: EmpiricalCdf, grid: Sequence[float]) -> np.recarray:
+    """|P_hat(F <= z) - Phi(z)| with binomial standard errors, one record per
+    grid point: z, empirical_cdf, normal_cdf, discrepancy, standard_error."""
     zs = np.atleast_1d(np.asarray(grid, dtype=float))
     if zs.size == 0 or not np.all(np.isfinite(zs)):
         raise ValueError("grid must be nonempty and finite")
-    p_hat = ecdf.evaluate(zs)
+    p = ecdf.evaluate(zs)
     phi = normal_cdf(zs)
-    phi = np.atleast_1d(phi)
     se_floor = math.sqrt(0.25 / ecdf.n) * 1e-3  # continuity floor at p_hat in {0, 1}
-    rows = []
-    for z, p, ph in zip(zs, np.atleast_1d(p_hat), phi):
-        se = math.sqrt(p * (1.0 - p) / ecdf.n) if 0.0 < p < 1.0 else se_floor
-        rows.append(
-            DiscrepancyRow(
-                z=float(z),
-                empirical_cdf=float(p),
-                normal_cdf=float(ph),
-                discrepancy=abs(float(p) - float(ph)),
-                standard_error=se,
-            )
-        )
-    return rows
+    se = np.where((0.0 < p) & (p < 1.0), np.sqrt(p * (1.0 - p) / ecdf.n), se_floor)
+    return np.rec.fromarrays(
+        [zs, p, phi, np.abs(p - phi), se], names="z,empirical_cdf,normal_cdf,discrepancy,standard_error"
+    )
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
@@ -99,9 +82,13 @@ def dkw_epsilon(n: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Per-point violation flags plus summary; exit semantics 0 = no violations."""
+    """Per-point violation flags plus summary; exit semantics 0 = no violations.
 
-    rows: tuple[DiscrepancyRow, ...]
+    `rows` is the discrepancy curve with two more fields, `bound` and
+    `violated`.
+    """
+
+    rows: np.recarray
     slack_k: float
     n_violations: int
     passed: bool
@@ -112,35 +99,23 @@ class CertifyReport:
         return 0 if self.passed else 2
 
 
-def certify(
-    curve: Sequence[DiscrepancyRow],
-    bound_curve: BoundCurve | Sequence[float],
-    k: float,
-    note: str = "",
-) -> CertifyReport:
+def certify(curve: np.recarray, bounds: Sequence[float], k: float, note: str = "") -> CertifyReport:
     """Flag grid points where discrepancy - k * SE exceeds the bound.
 
-    `bound_curve` is either an engine BoundCurve on the same z-grid or a bare
-    sequence of per-point bound values aligned positionally.
+    `bounds` holds one bound value per record of `curve`, aligned positionally.
     """
     if k < 0.0 or not math.isfinite(k):
         raise ValueError(f"slack k must be finite and >= 0, got {k}")
-    if isinstance(bound_curve, BoundCurve):
-        if not np.array_equal([row.z for row in curve], bound_curve.z):
-            raise ValueError("discrepancy grid and bound grid do not match")
-        bounds = bound_curve.bounds.tolist()
-    else:
-        bounds = [float(b) for b in bound_curve]
-        if len(bounds) != len(curve):
-            raise ValueError("discrepancy grid and bound grid do not match")
-    out_rows = []
-    n_violations = 0
-    for row, bound in zip(curve, bounds):
-        violated = (row.discrepancy - k * row.standard_error) > bound
-        n_violations += int(violated)
-        out_rows.append(replace(row, bound=bound, violated=bool(violated)))
+    bounds = np.asarray(bounds, dtype=float)
+    if bounds.shape != curve.shape:
+        raise ValueError("discrepancy grid and bound grid do not match")
+    violated = curve.discrepancy - k * curve.standard_error > bounds
+    names = curve.dtype.names
+    columns = [curve[name] for name in names] + [bounds, violated]
+    rows = np.rec.fromarrays(columns, names=[*names, "bound", "violated"])
+    n_violations = int(np.count_nonzero(violated))
     return CertifyReport(
-        rows=tuple(out_rows),
+        rows=rows,
         slack_k=float(k),
         n_violations=n_violations,
         passed=n_violations == 0,

@@ -63,12 +63,46 @@ class TestParseConfig:
         with pytest.raises(cli.UsageError, match="JSON"):
             cli.parse_config(["chaos-compare", "--config", str(cfg_path), "--output", "o.csv"])
 
+    def test_integral_float_accepted(self, tmp_path):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text('{"samples": 1e6, "seed": 3.0}')
+        cfg = cli.parse_config(["chaos-compare", "--config", str(cfg_path), "--output", "o.csv"])
+        assert cfg["samples"] == 1_000_000 and cfg["seed"] == 3
+
     def test_bad_alphas_rejected(self):
         with pytest.raises(cli.UsageError, match="alphas"):
             cli.parse_config(["chaos-compare", "--alphas", "1,banana", "--output", "o.csv"])
 
     def test_scenario_required(self):
         assert run_cli([]) == 1
+
+
+@pytest.mark.parametrize(
+    "file_cfg, key",
+    [
+        ({"seed": True}, "seed"),
+        ({"z-min": False}, "z-min"),
+        ({"seed": 1.7}, "seed"),
+        ({"samples": 2.9}, "samples"),
+        ({"output": None}, "output"),
+        ({"tail": 3}, "tail"),
+        ({"alphas": [True, 2]}, "alphas"),
+        ({"alphas": ["1", "x"]}, "alphas"),
+    ],
+    ids=["bool-for-int", "bool-for-float", "fraction-for-int-seed", "fraction-for-int-samples",
+         "null-for-string", "number-for-string", "bool-in-alphas", "string-in-alphas"],
+)
+def test_config_value_of_wrong_kind_rejected(file_cfg, key, tmp_path, capsys, monkeypatch):
+    # the flag converters would silently truncate or stringify these
+    monkeypatch.chdir(tmp_path)  # where {"output": null} would write a file named None
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    args = ["chaos-compare", "--config", cfg_path, "--samples", "10"]
+    if key != "output":
+        args += ["--output", tmp_path / "x.csv"]
+    assert run_cli(args) == 1
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) and not (tmp_path / "None").exists()
 
 
 class TestSteinCheckScenario:
@@ -135,6 +169,23 @@ class TestChaosCompareScenario:
         )
         assert code == 2
         assert any(ln.endswith(",1") for ln in out.read_text().splitlines()[1:])
+
+
+    def test_csv_cells_match_json_values(self, tmp_path):
+        # the two writers serialize the same table: floats by repr, booleans as 1/0
+        base = ["chaos-compare", "--tail", "major", "--c-q", "1e-3", "--samples", "20000",
+                "--seed", "2", "--z-count", "41"]
+        csv_out, json_out = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run_cli(base + ["--output", csv_out]) == 2
+        assert run_cli(base + ["--format", "json", "--output", json_out]) == 2
+        header, *lines = csv_out.read_text().splitlines()
+        payload = json.loads(json_out.read_text())
+        assert header.split(",") == payload["columns"]
+        assert len(lines) == len(payload["rows"])
+        for line, row in zip(lines, payload["rows"]):
+            expected = [("1" if v else "0") if isinstance(v, bool) else repr(float(v)) for v in row]
+            assert line.split(",") == expected
+        assert {row[-1] for row in payload["rows"]} == {True, False}
 
 
 class TestExpfunCompareScenario:

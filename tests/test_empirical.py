@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nubes import bounds, chaos, empirical
 from nubes.bounds import BoundInputs, EmpiricalTail, UnitTail
 from nubes.empirical import build_ecdf, certify, discrepancy_curve, dkw_epsilon
+from nubes.gaussian import normal_cdf
 
 DKW_20000_001 = 0.011509037065006824  # sqrt(ln(200)/40000)
 
@@ -57,7 +60,6 @@ class TestDiscrepancyCurve:
         e = build_ecdf(rng.standard_normal(5000))
         for row in discrepancy_curve(e, np.linspace(-3, 3, 13)):
             assert row.discrepancy == abs(row.empirical_cdf - row.normal_cdf)
-            assert row.bound is None and row.violated is False
 
     def test_normal_samples_within_dkw(self):
         rng = np.random.default_rng(3)
@@ -88,7 +90,7 @@ class TestDiscrepancyCurve:
         grid = np.linspace(-2, 2, 17)
         a = discrepancy_curve(build_ecdf(samples), grid)
         b = discrepancy_curve(build_ecdf(rng.permutation(samples)), grid)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_rejects_bad_grid(self):
         e = build_ecdf([0.0])
@@ -154,7 +156,7 @@ class TestCertify:
     def test_huge_bound_no_violations(self):
         curve, grid = self._setup()
         big = bounds.evaluate_curve(BoundInputs(0.0, 1e6, UnitTail()), grid)
-        report = certify(curve, big, k=3.0)
+        report = certify(curve, big.bounds, k=3.0)
         assert report.passed and report.n_violations == 0 and report.exit_status == 0
 
     def test_zero_bound_on_non_normal_violates(self):
@@ -163,7 +165,7 @@ class TestCertify:
         grid = np.linspace(-3, 3, 25)
         curve = discrepancy_curve(e, grid)
         zero = bounds.evaluate_curve(BoundInputs(0.0, 0.0, UnitTail()), grid)
-        report = certify(curve, zero, k=3.0)
+        report = certify(curve, zero.bounds, k=3.0)
         assert not report.passed and report.n_violations > 0 and report.exit_status == 2
 
     def test_monotone_in_bound(self):
@@ -183,9 +185,6 @@ class TestCertify:
 
     def test_grid_mismatch_rejected(self):
         curve, grid = self._setup()
-        other = bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), grid + 0.5)
-        with pytest.raises(ValueError, match="do not match"):
-            certify(curve, other, k=3.0)
         with pytest.raises(ValueError, match="do not match"):
             certify(curve, [1.0] * (len(curve) - 1), k=3.0)
 
@@ -198,6 +197,48 @@ class TestCertify:
         curve, _ = self._setup()
         with pytest.raises(ValueError):
             certify(curve, [1.0] * len(curve), k=-1.0)
+
+
+_samples = st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=50)
+_grids = st.lists(st.floats(-8.0, 8.0), max_size=30)
+
+
+def _with_outside_points(samples, grid):
+    # one point below and one above every sample, so p_hat takes both 0 and 1
+    return [min(samples) - 1.0, *grid, max(samples) + 1.0]
+
+
+class TestColumnarEqualsScalar:
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, _grids)
+    def test_curve_fields(self, samples, grid):
+        e = build_ecdf(samples)
+        grid = _with_outside_points(samples, grid)
+        curve = discrepancy_curve(e, grid)
+        floor = math.sqrt(0.25 / e.n) * 1e-3
+        assert len(curve) == len(grid)
+        for i, z in enumerate(grid):
+            p, phi = e.evaluate(z), normal_cdf(z)
+            assert curve.z[i] == z
+            assert curve.empirical_cdf[i] == p
+            assert curve.normal_cdf[i] == phi
+            assert curve.discrepancy[i] == abs(p - phi)
+            assert curve.standard_error[i] == (math.sqrt(p * (1.0 - p) / e.n) if 0.0 < p < 1.0 else floor)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, _grids, st.floats(0.0, 5.0), st.data())
+    def test_certify_flags(self, samples, grid, k, data):
+        curve = discrepancy_curve(build_ecdf(samples), _with_outside_points(samples, grid))
+        b = data.draw(st.lists(st.floats(0.0, 0.6), min_size=len(curve), max_size=len(curve)))
+        report = certify(curve, b, k)
+        disc, se = curve.discrepancy.tolist(), curve.standard_error.tolist()
+        for i in range(len(curve)):
+            assert report.rows.violated[i] == (disc[i] - k * se[i] > b[i])
+        assert report.rows.bound.tolist() == b
+        for name in curve.dtype.names:
+            assert np.array_equal(report.rows[name], curve[name])
+        assert report.n_violations == sum(report.rows.violated.tolist())
+        assert report.passed == (report.n_violations == 0)
 
 
 def test_glivenko_cantelli_coverage():

@@ -3,9 +3,11 @@
 The tracer in perfbench/ hooks the library by name: the `bounds.TailModel`
 subclasses, `EmpiricalTail.from_samples(cls, samples)`,
 `EmpiricalCdf.evaluate`, the `grid` and `samples` parameters, and
-`cli._write(cfg, columns, rows, summary)` with a `len()`-able `rows`.  A
-refactor that renames one of them breaks the benchmark, not the library, so
-these checks run the harness itself in fresh interpreters.
+`cli._write(cfg, summary, rows)`, whose first and third positional arguments
+it reads for `cli.output_bytes` and `cli.rows` (so `rows` must be `len()`-able).
+A refactor that renames or reorders one of them breaks the benchmark, not the
+library, so these checks run the harness itself in fresh interpreters and
+compare the traced counts with the run they describe.
 """
 
 import json
@@ -19,6 +21,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import tracer  # noqa: E402
 
 
 def _env() -> dict:
@@ -36,15 +40,15 @@ def test_selftest_passes():
 
 
 @pytest.mark.parametrize(
-    "cli_args",
+    "cli_args, z_count",
     [
-        ["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact", "--z-count", "41"],
-        ["chaos-compare", "--q", "3", "--alphas", "1,0.5", "--tail", "empirical",
-         "--samples", "2000", "--z-count", "21", "--format", "json"],
+        (["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact", "--z-count", "41"], 41),
+        (["chaos-compare", "--q", "3", "--alphas", "1,0.5", "--tail", "empirical",
+          "--samples", "2000", "--z-count", "21", "--format", "json"], 21),
     ],
     ids=["bound-only-exact", "chaos-compare-empirical"],
 )
-def test_traced_run(cli_args, tmp_path):
+def test_traced_run(cli_args, z_count, tmp_path):
     record_path, trace_dir, output = tmp_path / "record.json", tmp_path / "spans", tmp_path / "out"
     trace_dir.mkdir()
     proc = subprocess.run(
@@ -56,3 +60,6 @@ def test_traced_run(cli_args, tmp_path):
     assert json.loads(record_path.read_text())["rc"] == 0
     assert list(trace_dir.glob("spans-*.json"))
     assert output.stat().st_size > 0
+    metrics = tracer.layer_metrics(*tracer.load(str(trace_dir)))
+    assert metrics["cli.rows"] == z_count
+    assert metrics["cli.output_bytes"] == output.stat().st_size

@@ -26,7 +26,9 @@ oracle throughout the test and certification suites.
 
 Batch sampling runs on independently seeded substreams per fixed-size chunk
 and reduces in chunk order, so results do not depend on worker scheduling;
-everything else is pure.
+inside a chunk it draws and reduces cache-sized row blocks in row order,
+which keeps the draws and the values of drawing the chunk whole.  Everything
+else is pure.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import normal_cdf, normal_tail
-from .sampling import map_chunks
+from .sampling import block_rows, map_chunks
 
 __all__ = [
     "DiagonalChaosSpec",
@@ -130,8 +132,22 @@ def sample(spec: DiagonalChaosSpec, rng: np.random.Generator) -> float:
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -> np.ndarray:
-    w = rng.standard_normal((count, len(alphas)))
-    return hermite(q, w) @ np.asarray(alphas)
+    # row blocks draw in the chunk's order: out equals hermite(q, N) @ alphas
+    # for N = rng.standard_normal((count, m)) drawn whole.  BLAS sums a row
+    # in an order that depends on its place in a group of rows counted from
+    # the first, so blocks hold a multiple of 64 rows; numpy takes a one-row
+    # product as a dot, so a lone last row joins the block before it.
+    alphas = np.asarray(alphas)
+    rows = max(64, block_rows(alphas.size) // 64 * 64)
+    out = np.empty(count)
+    start = 0
+    while start < count:
+        stop = start + rows
+        if stop >= count - 1:
+            stop = count
+        out[start:stop] = hermite(q, rng.standard_normal((stop - start, alphas.size))) @ alphas
+        start = stop
+    return out
 
 
 def sample_batch(

@@ -13,7 +13,10 @@ bound-only      Evaluate a bound curve (no sampling).
 
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
-Philox substreams keyed by chunk index, and reductions run in chunk order).
+Philox substreams keyed by chunk index, each chunk is drawn in row blocks in
+row order, and reductions run in chunk order; the pool never holds more
+processes than chunks or usable CPUs).  The JSON summary of chaos-compare
+and expfun-compare names the bit generator, chunk size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
 are the columns.  Floats are serialized with Python repr (shortest
 round-trip, up to 17 significant digits, '.' decimal separator), booleans as
@@ -35,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import bounds, chaos, empirical, expfun, gaussian
+from . import bounds, chaos, empirical, expfun, gaussian, sampling
 
 __all__ = ["main", "run", "parse_config", "UsageError"]
 
@@ -60,7 +63,7 @@ _COMMON = {
     "output": (str, "output file path ('-' for stdout)"),
     "format": (str, "output format: csv or json"),
     "slack-k": (float, "certification slack in binomial standard errors"),
-    "workers": (int, "worker processes for sampling (does not affect output bytes)"),
+    "workers": (int, "sampling processes; at most one per chunk and per usable CPU (does not affect output bytes)"),
 }
 
 _SCENARIO_FLAGS = {
@@ -340,6 +343,7 @@ def _run_chaos_compare(cfg: dict) -> int:
         "stein_discrepancy": d,
         "uniform_bound": bounds.uniform_bound(inputs),
         "violations": report.n_violations,
+        "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK),
     }
     _write(cfg, summary, _compare_rows(report, summary["uniform_bound"]))
     return report.exit_status
@@ -365,6 +369,7 @@ def _run_expfun_compare(cfg: dict) -> int:
         "uniform_bound": uniform,
         "violations": report.n_violations,
         "note": note,
+        "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK),
     }
     _write(cfg, summary, _compare_rows(report, uniform))
     return report.exit_status

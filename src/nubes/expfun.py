@@ -22,7 +22,10 @@ is the square root of a second-moment bound on the Stein discrepancy; both
 are evaluated here.  Sampling uses exact Gaussian increments on a uniform
 grid and left-point or trapezoid quadrature of the integrand; paths are
 embarrassingly parallel over fixed substream chunks (worker-scheduling
-independent), and the closed-form evaluators are pure.
+independent).  Inside a chunk the paths are drawn and integrated in
+cache-sized row blocks, in row order, through one reused increment buffer,
+so the draws and each path's arithmetic are those of the whole chunk.  The
+closed-form evaluators are pure.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import map_chunks
+from .sampling import block_rows, map_chunks
 
 __all__ = [
     "Scheme",
@@ -165,8 +168,9 @@ def integral_from_increments(a: float, t: float, increments: np.ndarray, scheme:
     w = np.asarray(increments, dtype=float)
     n = w.shape[-1]
     step = t / n
-    s = step * np.arange(1, n + 1)
-    y = np.exp(a * s + np.cumsum(w, axis=-1))  # integrand at nodes 1..n; node 0 is 1
+    y = np.cumsum(w, axis=-1)  # a new array: the increments are never written
+    y += a * (step * np.arange(1, n + 1))
+    np.exp(y, out=y)  # integrand at nodes 1..n; node 0 is 1
     if scheme is Scheme.TRAPEZOID:
         return step * (0.5 + np.sum(y[..., :-1], axis=-1) + 0.5 * y[..., -1])
     if scheme is Scheme.LEFT_POINT:
@@ -182,9 +186,18 @@ def sample_ft(params: ExpFunParams, cfg: PathConfig, rng: np.random.Generator) -
 
 
 def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_steps: int, scheme: Scheme) -> np.ndarray:
-    step = t / n_steps
-    w = rng.standard_normal((count, n_steps)) * math.sqrt(step)
-    return integral_from_increments(a, t, w, scheme)
+    # one reused block of increments, filled in the chunk's draw order: out
+    # equals the quadrature of rng.standard_normal((count, n_steps)) * scale
+    scale = math.sqrt(t / n_steps)
+    rows = block_rows(n_steps)
+    block = np.empty((min(rows, count), n_steps))
+    out = np.empty(count)
+    for start in range(0, count, rows):
+        w = block[: min(rows, count - start)]
+        rng.standard_normal(w.shape, out=w)
+        w *= scale
+        out[start : start + len(w)] = integral_from_increments(a, t, w, scheme)
+    return out
 
 
 def sample_batch(

@@ -6,22 +6,34 @@ The chunk layout depends only on (total, chunk_size), never on the worker
 count, and partial results are combined in chunk-index order, so every
 reduction is a pure function of (seed, total, chunk_size) regardless of how
 many processes execute it.
+
+Inside a chunk, the samplers draw and reduce block_rows(width) rows at a
+time from the chunk's one generator, in row order, so the draws and every
+row's arithmetic are those of the whole chunk; a block of BLOCK_NORMALS
+normals stays in a core's cache.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["substream", "chunk_counts", "map_chunks"]
+__all__ = ["substream", "chunk_counts", "block_rows", "layout", "map_chunks"]
+
+BIT_GENERATOR = np.random.Philox
+# normals drawn and reduced per row block: 128 KiB of float64, so a block and
+# its temporaries stay in cache.  At 2^15 and 2^16 the chaos temporaries were
+# handed back to the OS and faulted in again on every block.
+BLOCK_NORMALS = 1 << 14
 
 
 def substream(seed: int, index: int) -> np.random.Generator:
     """Generator for chunk `index` of the stream family keyed by `seed`."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(index),))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(BIT_GENERATOR(ss))
 
 
 def chunk_counts(total: int, chunk_size: int) -> list[int]:
@@ -36,6 +48,27 @@ def chunk_counts(total: int, chunk_size: int) -> list[int]:
     return counts
 
 
+def block_rows(width: int) -> int:
+    """Rows of `width` normals per cache-sized block (at least one)."""
+    return max(1, BLOCK_NORMALS // width)
+
+
+def layout(total: int, chunk_size: int) -> dict:
+    """Bit generator, chunk size and chunk count of a run; independent of the workers."""
+    return {
+        "bit_generator": BIT_GENERATOR.__name__,
+        "chunk_size": chunk_size,
+        "chunks": len(chunk_counts(total, chunk_size)),
+    }
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not offered on every platform
+        return os.cpu_count() or 1
+
+
 def _run_chunk(job):
     fn, seed, index, count, args = job
     return fn(substream(seed, index), count, *args)
@@ -45,8 +78,9 @@ def map_chunks(fn, args: tuple, seed: int, total: int, chunk_size: int, workers:
     """Concatenate fn(rng_i, count_i, *args) over the fixed chunk layout.
 
     `fn` must be a module-level function (it is pickled by reference when
-    workers > 1) returning a 1-d array of length count_i.  The result is
-    identical for any `workers` value.
+    workers > 1) returning a 1-d array of length count_i.  The pool starts
+    min(workers, chunks, usable CPUs) processes.  The result is identical for
+    any `workers` value.
     """
     jobs = [
         (fn, seed, i, c, args)
@@ -55,6 +89,7 @@ def map_chunks(fn, args: tuple, seed: int, total: int, chunk_size: int, workers:
     if workers <= 1 or len(jobs) == 1:
         parts = [_run_chunk(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
+        # the fork pool starts all max_workers processes at once
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as ex:
             parts = list(ex.map(_run_chunk, jobs, chunksize=1))
     return np.concatenate(parts)

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -101,6 +105,23 @@ class TestSampling:
         one = chaos.sample_batch(rank1, 70_000, seed=3, workers=1)
         two = chaos.sample_batch(rank1, 70_000, seed=3, workers=2)
         assert np.array_equal(one, two)
+
+    def test_batch_independent_of_blas_threads(self):
+        # 312,145 = 262,144 + 50,001: a chunk whose product BLAS would split
+        # over two threads at an odd row; 12 alphas take BLAS's vector kernel
+        code = (
+            "import hashlib, sys; from nubes import chaos; "
+            "spec = chaos.normalize(chaos.DiagonalChaosSpec(3, tuple(1 / (i + 1) for i in range(12)))); "
+            "sys.stdout.write(hashlib.sha256(chaos.sample_batch(spec, 312_145, seed=0).tobytes()).hexdigest())"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = set()
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, PYTHONPATH=src)
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
     def test_mean_near_zero(self, chaos_q2_samples_1m):
         s = chaos_q2_samples_1m

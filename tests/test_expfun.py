@@ -122,6 +122,13 @@ class TestSampling:
         val = expfun.integral_from_increments(0.0, 1.0, np.array([w1, w2]), Scheme.LEFT_POINT)
         assert abs(val - 0.5 * (1.0 + math.exp(w1))) <= 1e-15
 
+    def test_increments_left_unchanged(self):
+        w = np.random.default_rng(4).standard_normal((3, 40)) * 0.05
+        before = w.copy()
+        for scheme in Scheme:
+            expfun.integral_from_increments(0.2, 0.1, w, scheme)
+        assert np.array_equal(w, before)
+
     def test_consumes_exactly_n_steps(self):
         from nubes.sampling import substream
 

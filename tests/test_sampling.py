@@ -1,7 +1,13 @@
+import math
+import os
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nubes.sampling import chunk_counts, map_chunks, substream
+from nubes import chaos, expfun, sampling
+from nubes.sampling import BLOCK_NORMALS, block_rows, chunk_counts, layout, map_chunks, substream
 
 
 class TestChunkCounts:
@@ -62,3 +68,90 @@ class TestMapChunks:
         small = map_chunks(_draw, (1.0,), seed=3, total=64, chunk_size=64, workers=1)
         scaled = map_chunks(_draw, (4.0,), seed=3, total=64, chunk_size=64, workers=1)
         assert np.allclose(scaled, 4.0 * small)
+
+    @pytest.mark.parametrize(
+        "workers, chunks, cpus, expected",
+        [(5000, 3, 64, 3), (5000, 100, 2, 2), (2, 10, 64, 2), (3, 10, 1, 1)],
+        ids=["chunks", "cpus", "workers", "one-cpu"],
+    )
+    def test_pool_is_capped(self, workers, chunks, cpus, expected, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Records max_workers and maps in this process; starts no process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize=1):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+        total = 256 * chunks - 5
+        out = map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256, workers=workers)
+        assert sizes == [expected]
+        assert np.array_equal(out, map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256, workers=1))
+
+    def test_usable_cpus(self):
+        assert 1 <= sampling._usable_cpus() <= (os.cpu_count() or 1)
+
+
+class TestLayout:
+    def test_block_rows(self):
+        assert block_rows(1) == BLOCK_NORMALS
+        assert block_rows(3) == BLOCK_NORMALS // 3
+        assert block_rows(BLOCK_NORMALS) == 1
+        assert block_rows(BLOCK_NORMALS + 1) == 1
+
+    def test_layout_follows_configuration(self):
+        assert layout(10, 4) == {"bit_generator": "Philox", "chunk_size": 4, "chunks": 3}
+        assert layout(8, 4)["chunks"] == 2
+
+
+def _edges(rows: int) -> list[int]:
+    """Counts around block edges: one row, either side of one and two blocks, a partial block."""
+    return sorted({1, 2, rows - 1, rows, rows + 1, rows + 2, 2 * rows + 1, 2 * rows + rows // 2} - {0})
+
+
+class TestBlockedKernels:
+    """A chunk drawn and reduced in row blocks equals the chunk drawn whole, bit for bit.
+
+    The budgets keep every whole-chunk reference below the size at which BLAS
+    splits a matrix-vector product over threads.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 12), st.sampled_from([256, 1000, BLOCK_NORMALS]), st.data())
+    def test_chaos_chunk_equals_whole_chunk(self, q, m, budget, data):
+        alphas = tuple(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_NORMALS", budget)
+            rows = block_rows(m)
+            count = data.draw(st.sampled_from(_edges(rows) + _edges(max(64, rows // 64 * 64))))
+            got = chaos._sample_chunk(substream(7, count), count, q, alphas)
+        want = chaos.hermite(q, substream(7, count).standard_normal((count, m))) @ np.asarray(alphas)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(list(expfun.Scheme)),
+        st.sampled_from([2, 3, 7, 50, 1000]),
+        st.sampled_from([256, 1000, BLOCK_NORMALS]),
+        st.floats(-1.0, 1.0),
+        st.floats(0.01, 0.2),
+        st.data(),
+    )
+    def test_path_chunk_equals_whole_chunk(self, scheme, n, budget, a, t, data):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "BLOCK_NORMALS", budget)
+            count = data.draw(st.sampled_from(_edges(block_rows(n))))
+            got = expfun._path_chunk(substream(9, count), count, a, t, n, scheme)
+        w = substream(9, count).standard_normal((count, n)) * math.sqrt(t / n)
+        assert np.array_equal(got, expfun.integral_from_increments(a, t, w, scheme))

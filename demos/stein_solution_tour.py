@@ -12,8 +12,9 @@ print("=" * 60)
 
 # the solution and its derivative at a few points, branch included
 for z, x in [(0.0, 0.0), (1.3, 0.5), (1.3, 2.0), (2.0, -6.0), (1.0, -40.0)]:
-    p = gaussian.stein_solution(z, x)
-    print(f"  z={z:5.1f} x={x:7.1f}: f={p.value:.6e}  f'={p.derivative: .6e}  [{p.branch.value}]")
+    f, fp = gaussian.stein_value(z, x), gaussian.stein_derivative(z, x)
+    branch = "lower" if x <= z else "upper"  # the seam x == z belongs to the lower branch
+    print(f"  z={z:5.1f} x={x:7.1f}: f={f:.6e}  f'={fp: .6e}  [{branch}]")
 
 # the two branch formulas meet continuously at the seam x = z
 z = 1.3
@@ -30,7 +31,7 @@ for z, x in [(300.0, -300.0), (0.0, 400.0), (50.0, 50.0)]:
 
 # ODE residual with an independent finite-difference derivative
 xs = np.linspace(-12.0, 12.0, 2401)
-worst = max(float(np.max(np.abs(gaussian.stein_ode_residual_fd(z, xs)))) for z in (-4.0, 0.5, 3.0))
+worst = float(np.max(np.abs(gaussian.stein_ode_residual_fd(np.array([[-4.0], [0.5], [3.0]]), xs))))
 print(f"\nmax |f' - x f - (1_(x<=z) - Phi(z))| with FD derivative: {worst:.2e}")
 
 # envelope estimates: global bounds everywhere, sharpened bounds on |x| <= z/2

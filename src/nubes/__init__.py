@@ -43,16 +43,13 @@ from .empirical import (
 )
 from .expfun import ExpFunMoments, ExpFunParams, PathConfig, Scheme, clt_rate_bound
 from .gaussian import (
-    Branch,
     LemmaReport,
-    SteinSolutionPoint,
     check_lemma,
     normal_cdf,
     normal_tail,
     scaled_tail,
     stein_derivative,
     stein_ode_residual_fd,
-    stein_solution,
     stein_value,
 )
 

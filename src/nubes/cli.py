@@ -55,15 +55,19 @@ class _Parser(argparse.ArgumentParser):
 
 # flag name -> (type converter, help); merged per scenario below
 _COMMON = {
-    "seed": (int, "seed of the Philox substream family"),
-    "samples": (int, "number of Monte Carlo samples / paths"),
     "z-min": (float, "left end of the z grid"),
     "z-max": (float, "right end of the z grid"),
     "z-count": (int, "number of z grid points"),
     "output": (str, "output file path ('-' for stdout)"),
     "format": (str, "output format: csv or json"),
-    "slack-k": (float, "certification slack in binomial standard errors"),
     "workers": (int, "sampling processes; at most one per chunk and per usable CPU (does not affect output bytes)"),
+}
+
+# the scenarios that sample and certify
+_SAMPLED = {
+    "seed": (int, "seed of the Philox substream family"),
+    "samples": (int, "number of Monte Carlo samples / paths"),
+    "slack-k": (float, "certification slack in binomial standard errors"),
 }
 
 _SCENARIO_FLAGS = {
@@ -73,6 +77,7 @@ _SCENARIO_FLAGS = {
         "x-count": (int, "number of x grid points"),
     },
     "chaos-compare": {
+        **_SAMPLED,
         "q": (int, "chaos order (>= 2)"),
         "alphas": (str, "comma-separated kernel coefficients"),
         "tail": (str, "tail model: exact, markov, major, empirical, unit"),
@@ -81,6 +86,7 @@ _SCENARIO_FLAGS = {
         "markov-moment": (float, "E|F|^p for the Markov tail"),
     },
     "expfun-compare": {
+        **_SAMPLED,
         "a": (float, "drift of the exponential functional"),
         "t": (float, "time horizon (> 0)"),
         "n-steps": (int, "path discretization steps (default 2000 * t / 0.1)"),
@@ -100,8 +106,8 @@ _SCENARIO_FLAGS = {
 
 _DEFAULTS = {
     "stein-check": {
-        "seed": 0, "samples": 1, "z-min": -6.0, "z-max": 6.0, "z-count": 49,
-        "output": None, "format": "csv", "slack-k": 3.0, "workers": 1,
+        "z-min": -6.0, "z-max": 6.0, "z-count": 49,
+        "output": None, "format": "csv", "workers": 1,
         "x-min": -10.0, "x-max": 10.0, "x-count": 2001,
     },
     "chaos-compare": {
@@ -116,8 +122,8 @@ _DEFAULTS = {
         "a": 0.0, "t": 0.1, "n-steps": None,
     },
     "bound-only": {
-        "seed": 0, "samples": 1, "z-min": -8.0, "z-max": 8.0, "z-count": 161,
-        "output": None, "format": "csv", "slack-k": 3.0, "workers": 1,
+        "z-min": -8.0, "z-max": 8.0, "z-count": 161,
+        "output": None, "format": "csv", "workers": 1,
         "mean-abs": 0.0, "discrepancy": None, "tail": "unit",
         "q": 2, "c-q": None, "markov-p": 6.0, "markov-moment": None,
         "a": 0.0, "t": 0.1,
@@ -204,14 +210,15 @@ def _validate(cfg: dict):
         raise UsageError(f"--z-count must be >= 1, got {cfg['z-count']}")
     if not cfg["z-min"] <= cfg["z-max"]:
         raise UsageError(f"--z-min must be <= --z-max, got {cfg['z-min']} > {cfg['z-max']}")
-    if cfg["seed"] < 0:
-        raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
     if cfg["workers"] < 1:
         raise UsageError(f"--workers must be >= 1, got {cfg['workers']}")
-    if cfg["slack-k"] < 0:
-        raise UsageError(f"--slack-k must be >= 0, got {cfg['slack-k']}")
-    if scenario in ("chaos-compare", "expfun-compare") and cfg["samples"] < 1:
-        raise UsageError(f"--samples must be >= 1, got {cfg['samples']}")
+    if scenario in ("chaos-compare", "expfun-compare"):
+        if cfg["seed"] < 0:
+            raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
+        if cfg["slack-k"] < 0:
+            raise UsageError(f"--slack-k must be >= 0, got {cfg['slack-k']}")
+        if cfg["samples"] < 1:
+            raise UsageError(f"--samples must be >= 1, got {cfg['samples']}")
     if scenario == "stein-check":
         if cfg["x-count"] < 1:
             raise UsageError(f"--x-count must be >= 1, got {cfg['x-count']}")
@@ -270,24 +277,22 @@ def _write(cfg: dict, summary: dict, rows: np.recarray):
             fh.write(text)
 
 
-def _lemma_flags(z: float, xs: np.ndarray) -> str:
-    if z <= 0.0:
-        return ""  # the envelope estimates are stated for z > 0
-    rep = gaussian.check_lemma(z, xs)
-    return "".join("1" if ok else "0" for ok in (rep.global_bound_ok, rep.center_value_ok, rep.center_derivative_ok))
-
-
 def _run_stein_check(cfg: dict) -> int:
     zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
     xs = np.linspace(cfg["x-min"], cfg["x-max"], cfg["x-count"])
     kernels = (gaussian.stein_value, gaussian.stein_derivative, gaussian.stein_ode_residual_fd)
-    values = [np.concatenate([kernel(z, xs) for z in zs]) for kernel in kernels]
-    flags = np.array([_lemma_flags(z, xs) for z in zs], dtype="U3")
+    values = [kernel(zs[:, None], xs).ravel() for kernel in kernels]
+    # the envelope estimates are stated for z > 0; other rows get no flags
+    positive = zs > 0.0
+    rep = gaussian.check_lemma(zs[positive], xs)
+    digits = np.where([rep.global_bound_ok, rep.center_value_ok, rep.center_derivative_ok], "1", "0")
+    flags = np.full(zs.size, "", dtype="U3")
+    flags[positive] = np.char.add(np.char.add(digits[0], digits[1]), digits[2])
     rows = np.rec.fromarrays(
         [np.repeat(zs, xs.size), np.tile(xs, zs.size), *values, np.repeat(flags, xs.size)],
         names="z,x,f,f_prime,ode_residual,lemma_flags",
     )
-    all_ok = all(f in ("", "111") for f in flags)
+    all_ok = bool(np.all(flags[positive] == "111"))
     _write(cfg, {"all_envelope_checks_ok": all_ok}, rows)
     return 0 if all_ok else 2
 

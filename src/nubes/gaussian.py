@@ -16,11 +16,13 @@ evaluation here goes through the scaled tail (Mills ratio)
 
 which scipy evaluates stably via erfcx.  Rearranging each branch so that every
 exponential factor has a nonpositive exponent makes f_z computable without
-intermediate overflow for any finite (z, x).
+intermediate overflow for any finite (z, x).  The Stein kernels broadcast z
+against x, so a whole (z, x) grid is one call: kernel(zs[:, None], xs).
 
 `check_lemma` verifies, on a grid, the classical envelope estimates for f_z
 and f'_z (global bounds and the sharpened bounds on the center interval
-|x| <= z/2) that drive the non-uniform Berry-Esseen machinery downstream.
+|x| <= z/2) that drive the non-uniform Berry-Esseen machinery downstream,
+for an array of z at once.
 
 Everything in this module is a pure, stateless function; concurrent callers
 need no synchronization.
@@ -28,7 +30,6 @@ need no synchronization.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -40,15 +41,12 @@ SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 __all__ = [
     "SQRT_2PI",
-    "Branch",
-    "SteinSolutionPoint",
     "LemmaReport",
     "normal_cdf",
     "normal_tail",
     "scaled_tail",
     "stein_value",
     "stein_derivative",
-    "stein_solution",
     "stein_ode_residual_fd",
     "check_lemma",
 ]
@@ -61,11 +59,21 @@ def _require_finite(name: str, x) -> np.ndarray:
     return arr
 
 
+def _broadcast(z, x):
+    """Validated z and x broadcast together: flat float arrays and their shape."""
+    zb, xb = np.broadcast_arrays(_require_finite("z", z), _require_finite("x", x))
+    return zb.ravel(), xb.ravel(), zb.shape
+
+
+def _shaped(out: np.ndarray, shape):
+    out = out.reshape(shape)
+    return out.item() if out.ndim == 0 else out
+
+
 def normal_cdf(x):
     """Standard normal CDF Phi(x).  Accepts scalars or arrays."""
     arr = _require_finite("x", x)
-    out = special.ndtr(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _shaped(special.ndtr(arr), arr.shape)
 
 
 def normal_tail(x):
@@ -75,8 +83,7 @@ def normal_tail(x):
     positive x (usable up to x ~ 37 before underflow).
     """
     arr = _require_finite("x", x)
-    out = special.ndtr(-arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _shaped(special.ndtr(-arr), arr.shape)
 
 
 def scaled_tail(x):
@@ -88,120 +95,77 @@ def scaled_tail(x):
     decays like 1/x.
     """
     arr = _require_finite("x", x)
-    out = (SQRT_2PI / 2.0) * special.erfcx(arr / math.sqrt(2.0))
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    return _shaped((SQRT_2PI / 2.0) * special.erfcx(arr / math.sqrt(2.0)), arr.shape)
 
 
-class Branch(enum.Enum):
-    """Which piece of the two-branch solution applies (seam owned by LOWER)."""
-
-    LOWER = "lower"  # x <= z
-    UPPER = "upper"  # x > z
-
-
-@dataclass(frozen=True)
-class SteinSolutionPoint:
-    """Value and derivative of the Stein solution f_z at one point."""
-
-    z: float
-    x: float
-    value: float
-    derivative: float
-    branch: Branch
-
-
-def stein_value(z: float, x):
-    """f_z(x), vectorized over x, with no intermediate overflow.
+def stein_value(z, x):
+    """f_z(x), broadcast over z and x, with no intermediate overflow.
 
     Each quadrant below multiplies quantities that are individually bounded:
     scaled_tail at a nonnegative argument (<= sqrt(2*pi)/2), a CDF/tail factor
     in [0, 1], and where needed exp((x^2 - z^2)/2) with a nonpositive exponent.
+    Returns a float when z and x are both scalars.
     """
-    z = float(_require_finite("z", z))
-    xa = _require_finite("x", x)
-    scalar = np.isscalar(x) or xa.ndim == 0
-    xv = np.atleast_1d(xa).astype(float)
+    zv, xv, shape = _broadcast(z, x)
     out = np.empty_like(xv)
 
-    lower = xv <= z
+    lower = xv <= zv
     neg = xv <= 0.0
 
     m = lower & neg  # x <= min(z, 0): scaled_tail(-x) bounded, tail(z) in [0,1]
-    if np.any(m):
-        out[m] = scaled_tail(-xv[m]) * normal_tail(z)
+    out[m] = scaled_tail(-xv[m]) * normal_tail(zv[m])
     m = lower & ~neg  # 0 < x <= z: anchor at the seam, exponent <= 0
-    if np.any(m):
-        out[m] = scaled_tail(z) * np.exp((xv[m] ** 2 - z * z) / 2.0) * normal_cdf(xv[m])
+    zm = zv[m]
+    out[m] = scaled_tail(zm) * np.exp((xv[m] ** 2 - zm * zm) / 2.0) * normal_cdf(xv[m])
     m = ~lower & ~neg  # x > max(z, 0)
-    if np.any(m):
-        out[m] = scaled_tail(xv[m]) * normal_cdf(z)
+    out[m] = scaled_tail(xv[m]) * normal_cdf(zv[m])
     m = ~lower & neg  # z < x <= 0: |x| <= |z| so the exponent is <= 0
-    if np.any(m):
-        out[m] = scaled_tail(-z) * np.exp((xv[m] ** 2 - z * z) / 2.0) * normal_tail(xv[m])
+    zm = zv[m]
+    out[m] = scaled_tail(-zm) * np.exp((xv[m] ** 2 - zm * zm) / 2.0) * normal_tail(xv[m])
 
-    return float(out[0]) if scalar else out.reshape(xa.shape)
+    return _shaped(out, shape)
 
 
-def stein_derivative(z: float, x):
+def stein_derivative(z, x):
     """f'_z(x) from the Stein ODE: x f_z(x) + 1_{x <= z} - Phi(z).
 
-    At the seam x == z the lower branch (inclusive inequality) is reported.
+    Broadcast over z and x like `stein_value`.  At the seam x == z the lower
+    branch (inclusive inequality) is reported.
     """
-    z = float(_require_finite("z", z))
-    xa = _require_finite("x", x)
-    f = stein_value(z, xa)
-    ind = np.asarray(xa <= z, dtype=float)
-    out = xa * f + ind - normal_cdf(z)
-    return float(out) if np.isscalar(x) or np.ndim(out) == 0 else out
+    zv, xv, shape = _broadcast(z, x)
+    out = xv * stein_value(zv, xv) + (xv <= zv).astype(float) - normal_cdf(zv)
+    return _shaped(out, shape)
 
 
-def stein_solution(z: float, x: float) -> SteinSolutionPoint:
-    """Evaluate the Stein solution and its derivative at a single point."""
-    zf = float(_require_finite("z", z))
-    xf = float(_require_finite("x", x))
-    value = stein_value(zf, xf)
-    branch = Branch.LOWER if xf <= zf else Branch.UPPER
-    derivative = xf * value + (1.0 if branch is Branch.LOWER else 0.0) - normal_cdf(zf)
-    return SteinSolutionPoint(z=zf, x=xf, value=value, derivative=derivative, branch=branch)
-
-
-def stein_ode_residual_fd(z: float, x, h: float = 5e-5):
+def stein_ode_residual_fd(z, x, h: float = 5e-5):
     """Residual of the Stein ODE with the derivative taken by finite differences.
 
     The derivative of f_z is estimated from values only (fourth-order central
     stencil; third-order one-sided within 3h of the seam, taken from the side
     the point is classified on), so this is an independent consistency check of
-    the closed-form derivative, not a tautology.
+    the closed-form derivative, not a tautology.  Broadcast over z and x.
     """
-    z = float(_require_finite("z", z))
-    xa = _require_finite("x", x)
-    scalar = np.isscalar(x) or xa.ndim == 0
-    xv = np.atleast_1d(xa).astype(float)
-
+    zv, xv, shape = _broadcast(z, x)
     fd = np.empty_like(xv)
-    near = np.abs(xv - z) <= 3.0 * h
-    far = ~near
-    if np.any(far):
-        xf = xv[far]
-        fd[far] = (
-            stein_value(z, xf - 2.0 * h)
-            - 8.0 * stein_value(z, xf - h)
-            + 8.0 * stein_value(z, xf + h)
-            - stein_value(z, xf + 2.0 * h)
-        ) / (12.0 * h)
-    if np.any(near):
-        xn = xv[near]
-        left = xn <= z  # one-sided stencils never cross the seam
-        side = np.where(left, -1.0, 1.0)
-        f0 = stein_value(z, xn)
-        f1 = stein_value(z, xn + side * h)
-        f2 = stein_value(z, xn + side * 2.0 * h)
-        f3 = stein_value(z, xn + side * 3.0 * h)
-        fd[near] = side * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
+    near = np.abs(xv - zv) <= 3.0 * h
 
-    rhs = xv * stein_value(z, xv) + (xv <= z).astype(float) - normal_cdf(z)
-    res = fd - rhs
-    return float(res[0]) if scalar else res.reshape(xa.shape)
+    zf, xf = zv[~near], xv[~near]
+    fd[~near] = (
+        stein_value(zf, xf - 2.0 * h)
+        - 8.0 * stein_value(zf, xf - h)
+        + 8.0 * stein_value(zf, xf + h)
+        - stein_value(zf, xf + 2.0 * h)
+    ) / (12.0 * h)
+
+    zn, xn = zv[near], xv[near]
+    side = np.where(xn <= zn, -1.0, 1.0)  # one-sided stencils never cross the seam
+    f0 = stein_value(zn, xn)
+    f1 = stein_value(zn, xn + side * h)
+    f2 = stein_value(zn, xn + side * 2.0 * h)
+    f3 = stein_value(zn, xn + side * 3.0 * h)
+    fd[near] = side * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
+
+    return _shaped(fd - stein_derivative(zv, xv), shape)
 
 
 @dataclass(frozen=True)
@@ -212,60 +176,44 @@ class LemmaReport:
     center_value_ok:        f_z <= (sqrt(2*pi)/2) e^{-z^2/4} on |x| <= z/2
     center_derivative_ok:   |f'_z| <= 2 e^{-z^2/4}          on |x| <= z/2
     worst_margin:           minimum slack (bound minus value) over all checks
+
+    Every field has the shape of z (Python scalars for a scalar z).
     """
 
-    z: float
-    grid: np.ndarray
-    global_bound_ok: bool
-    center_value_ok: bool
-    center_derivative_ok: bool
-    worst_margin: float
+    z: float | np.ndarray
+    global_bound_ok: bool | np.ndarray
+    center_value_ok: bool | np.ndarray
+    center_derivative_ok: bool | np.ndarray
+    worst_margin: float | np.ndarray
 
 
 # Inequalities are analytic facts; the tolerance only absorbs rounding.
 LEMMA_SLACK = 1e-12
 
 
-def check_lemma(z: float, grid: Sequence[float]) -> LemmaReport:
-    """Check the f_z / f'_z envelope estimates at every grid point.
+def check_lemma(z, grid: Sequence[float]) -> LemmaReport:
+    """Check the f_z / f'_z envelope estimates at every grid point, for every z.
 
-    Requires z > 0 (the estimates are stated for positive z; negative z is
-    handled upstream by reflection of the bound, not here).
+    z may have any shape; every z must be > 0 (the estimates are stated for
+    positive z; negative z is handled upstream by reflection of the bound, not
+    here).  The checks reduce over the grid, which is flattened.
     """
-    z = float(_require_finite("z", z))
-    if z <= 0.0:
+    za = _require_finite("z", z)
+    if np.any(za <= 0.0):
         raise ValueError(f"check_lemma requires z > 0, got z={z}")
-    xs = _require_finite("grid", grid)
-    xs = np.atleast_1d(xs).astype(float)
+    xs = _require_finite("grid", grid).ravel()
     if xs.size == 0:
         raise ValueError("grid must be nonempty")
 
-    f = stein_value(z, xs)
-    fp = stein_derivative(z, xs)
+    zc = za[..., None]  # the grid is the last axis
+    f = stein_value(zc, xs)
+    fp = stein_derivative(zc, xs)
 
-    margins = [
-        f,  # positivity: slack is the value itself
-        SQRT_2PI / 4.0 - f,
-        1.0 - np.abs(fp),
-    ]
-    global_ok = all(np.all(m >= -LEMMA_SLACK) for m in margins)
-
-    center = np.abs(xs) <= z / 2.0
-    center_value_ok = True
-    center_derivative_ok = True
-    if np.any(center):
-        value_margin = (SQRT_2PI / 2.0) * math.exp(-z * z / 4.0) - f[center]
-        deriv_margin = 2.0 * math.exp(-z * z / 4.0) - np.abs(fp[center])
-        center_value_ok = bool(np.all(value_margin >= -LEMMA_SLACK))
-        center_derivative_ok = bool(np.all(deriv_margin >= -LEMMA_SLACK))
-        margins.extend([value_margin, deriv_margin])
-
-    worst = min(float(np.min(m)) for m in margins)
-    return LemmaReport(
-        z=z,
-        grid=xs,
-        global_bound_ok=bool(global_ok),
-        center_value_ok=center_value_ok,
-        center_derivative_ok=center_derivative_ok,
-        worst_margin=worst,
-    )
+    global_margin = np.minimum(np.minimum(f, SQRT_2PI / 4.0 - f), 1.0 - np.abs(fp))  # positivity slack is f
+    envelope = np.exp(-zc * zc / 4.0)
+    center = np.abs(xs) <= zc / 2.0  # off-center points carry no center constraint: margin +inf
+    value_margin = np.where(center, (SQRT_2PI / 2.0) * envelope - f, np.inf)
+    deriv_margin = np.where(center, 2.0 * envelope - np.abs(fp), np.inf)
+    worst = np.stack([global_margin, value_margin, deriv_margin]).min(axis=-1)  # (3, *z.shape)
+    ok = worst >= -LEMMA_SLACK
+    return LemmaReport(*(_shaped(a, za.shape) for a in (za, *ok, worst.min(axis=0))))

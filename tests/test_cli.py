@@ -126,6 +126,12 @@ class TestSteinCheckScenario:
         flagged = [ln for ln in lines[1:] if ln.endswith("111")]
         assert flagged
 
+    def test_json_parameters(self, tmp_path):
+        out = tmp_path / "stein.json"
+        assert run_cli(["stein-check", "--z-count", "2", "--x-count", "3", "--format", "json", "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert list(payload["parameters"]) == ["z-min", "z-max", "z-count", "x-min", "x-max", "x-count"]
+
     def test_residual_column_small(self, tmp_path):
         out = tmp_path / "stein.csv"
         run_cli(["stein-check", "--z-count", "3", "--x-count", "101", "--output", out])
@@ -244,6 +250,26 @@ def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run_cli(args + ["--output", out]) == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, file_cfg, name",
+    [
+        (["bound-only", "--discrepancy", "1", "--seed", "1"], None, "--seed"),
+        (["stein-check"], {"slack-k": 2}, "slack-k"),
+    ],
+    ids=["bound-only-seed-flag", "stein-check-slack-k-key"],
+)
+def test_sampling_options_only_where_sampling_happens(args, file_cfg, name, tmp_path, capsys):
+    # seed, samples and slack-k belong to chaos-compare and expfun-compare
+    if file_cfg is not None:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        args = args + ["--config", cfg_path]
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--output", out]) == 1
+    assert name in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,17 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nubes.gaussian import (
     SQRT_2PI,
-    Branch,
     check_lemma,
     normal_cdf,
     normal_tail,
     scaled_tail,
     stein_derivative,
     stein_ode_residual_fd,
-    stein_solution,
     stein_value,
 )
 from oracles import mills_asymptotic, normal_tail_asymptotic
@@ -27,6 +27,8 @@ ST_MINUS_2 = 18.100247711126153  # sqrt(2 pi) e^2 Phi(2)
 F_00 = 0.6266570686577501  # sqrt(2 pi)/4
 F_SEAM_13 = 0.5101877171588748  # sqrt(2 pi) e^{z^2/2} Phi(z)(1 - Phi(z)) at z = 1.3
 F_1_M40 = 0.003963906993584761
+
+_LEMMA_FIELDS = ("z", "global_bound_ok", "center_value_ok", "center_derivative_ok", "worst_margin")
 
 
 class TestNormalCdf:
@@ -95,10 +97,8 @@ class TestScaledTail:
 
 class TestSteinSolution:
     def test_center_point(self):
-        p = stein_solution(0.0, 0.0)
-        assert abs(p.value - F_00) <= 1e-15
-        assert abs(p.derivative - 0.5) <= 1e-15
-        assert p.branch is Branch.LOWER
+        assert abs(stein_value(0.0, 0.0) - F_00) <= 1e-15
+        assert abs(stein_derivative(0.0, 0.0) - 0.5) <= 1e-15
 
     def test_seam_continuity(self):
         z = 1.3
@@ -121,13 +121,16 @@ class TestSteinSolution:
             assert abs((lower - upper_limit) - 1.0) <= 1e-12
 
     def test_branch_classification(self):
-        assert stein_solution(1.0, 1.0).branch is Branch.LOWER
-        assert stein_solution(1.0, 1.0 + 1e-12).branch is Branch.UPPER
+        # the seam x == z belongs to the lower branch x f + 1 - Phi(z)
+        z = 1.0
+        assert stein_derivative(z, z) == z * stein_value(z, z) + 1.0 - normal_cdf(z)
+        x = z + 1e-12  # just above: the upper branch x f - Phi(z)
+        assert stein_derivative(z, x) == x * stein_value(z, x) - normal_cdf(z)
 
     def test_far_left_mills_limit(self):
-        p = stein_solution(1.0, -40.0)
-        assert abs(p.value / F_1_M40 - 1.0) <= 1e-12
-        assert abs(p.value / (normal_tail(1.0) / 40.0) - 1.0) <= 0.002
+        value = stein_value(1.0, -40.0)
+        assert abs(value / F_1_M40 - 1.0) <= 1e-12
+        assert abs(value / (normal_tail(1.0) / 40.0) - 1.0) <= 0.002
 
     def test_no_overflow_extremes(self):
         for z, x in [(200.0, 150.0), (-200.0, -150.0), (50.0, 50.0), (0.0, -400.0),
@@ -159,12 +162,25 @@ class TestSteinSolution:
             assert np.all(np.abs(fp) <= 1.0 + 1e-12)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            stein_solution(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            stein_solution(0.0, math.inf)
+        for kernel in (stein_value, stein_derivative, stein_ode_residual_fd):
+            with pytest.raises(ValueError, match="z must be finite"):
+                kernel(math.nan, 0.0)
+            with pytest.raises(ValueError, match="z must be finite"):
+                kernel([0.0, -math.inf], 0.0)
+            with pytest.raises(ValueError, match="x must be finite"):
+                kernel(0.0, math.inf)
         with pytest.raises(ValueError):
             stein_value(0.0, [0.0, math.inf])
+
+    def test_broadcast_shapes(self):
+        zs, xs = np.array([-1.0, 0.0, 2.0]), np.linspace(-3.0, 3.0, 7)
+        for kernel in (stein_value, stein_derivative, stein_ode_residual_fd):
+            assert isinstance(kernel(1.0, 0.5), float)
+            assert kernel(zs[:, None], xs).shape == (3, 7)
+            assert kernel(zs, 0.5).shape == (3,)
+            assert kernel(np.array([1.0]), 0.5).shape == (1,)  # an array z gives an array
+        with pytest.raises(ValueError):
+            stein_value(zs, xs[:4])  # shapes that do not broadcast
 
 
 class TestOdeResidual:
@@ -203,7 +219,19 @@ class TestCheckLemma:
             f = stein_value(z, xs)
             assert np.all(f <= (SQRT_2PI / 2.0) * math.exp(-z * z / 4.0) + 1e-12)
 
+    def test_fields_have_the_shape_of_z(self):
+        zs = np.array([[0.5, 1.0, 2.0], [4.0, 6.0, 10.0]])
+        rep = check_lemma(zs, np.linspace(-12.0, 12.0, 481))
+        for field in _LEMMA_FIELDS:
+            assert np.shape(getattr(rep, field)) == zs.shape
+        assert np.all(rep.global_bound_ok & rep.center_value_ok & rep.center_derivative_ok)
+        scalar = check_lemma(2.0, [0.0, 1.0])
+        assert isinstance(scalar.worst_margin, float) and isinstance(scalar.center_value_ok, bool)
+        assert check_lemma(np.empty(0), [0.0]).worst_margin.shape == (0,)
+
     def test_rejections(self):
+        with pytest.raises(ValueError):
+            check_lemma(np.array([1.0, 0.0]), [0.0])
         with pytest.raises(ValueError):
             check_lemma(0.0, [0.0])
         with pytest.raises(ValueError):
@@ -212,6 +240,35 @@ class TestCheckLemma:
             check_lemma(1.0, [])
         with pytest.raises(ValueError):
             check_lemma(1.0, [math.nan])
+
+
+# z from the far tails and the dense middle; the tests add z = 0 and the seams x == z
+_zs = st.lists(st.one_of(st.floats(-300.0, 300.0), st.floats(-8.0, 8.0)), min_size=1, max_size=8)
+_xs = st.lists(st.floats(-300.0, 300.0), max_size=12)
+
+
+class TestBroadcastEqualsScalar:
+    @settings(max_examples=200, deadline=None)
+    @given(_zs, _xs, st.floats(-3e-4, 3e-4))
+    def test_kernels(self, zs, xs, offset):
+        z = np.array([0.0, *zs])
+        # seams, and points within the one-sided stencil band around them
+        x = np.array([*xs, *z, *(z + offset)])
+        for kernel in (stein_value, stein_derivative, stein_ode_residual_fd):
+            grid = kernel(z[:, None], x)
+            for i in range(z.size):
+                assert np.array_equal(grid[i], kernel(float(z[i]), x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(1e-3, 300.0), min_size=1, max_size=6), _xs)
+    def test_check_lemma(self, zs, xs):
+        z = np.array(zs)
+        grid = np.array([0.0, *xs, *z, *(z / 2.0)])  # the center interval's edges
+        rep = check_lemma(z, grid)
+        for i in range(z.size):
+            one = check_lemma(float(z[i]), grid)
+            for field in _LEMMA_FIELDS:
+                assert getattr(rep, field)[i] == getattr(one, field)
 
 
 def test_helper_inequality_z_exp():

@@ -34,8 +34,11 @@ weighted = bounds.evaluate_curve(inputs, zs).bounds * (1.0 + zs**3) / SQRT2
 print(f"\ncubic-rate check: sup bound(z)(1+z^3)/d over [0, 50] = {weighted.max():.4f}")
 print(f"(the tail term alone levels off at sqrt(E|F|^6 * 2^6) = {math.sqrt(755 * 64):.4f})")
 
-# chaos specialization: the displayed closed form for a variance-one chaos
+# chaos specialization: the engine with d = sqrt((q-1)/(3q)(EF^4-3)) and the
+# concentration tail, which with c_q = 1 never clamps and is the displayed form
 print("\nchaos bound sqrt((q-1)/(3q)(EF^4-3)) (c_q e^{-z^(2/q)/2^(2+2/q)} + 2e^{-z^2/4}):")
 for q, m4 in ((2, 15.0), (3, 9.0)):
-    vals = [bounds.chaos_bound(q, m4, 1.0, z) for z in (0.0, 2.0, 4.0, 8.0)]
+    d = chaos.stein_discrepancy_upper(m4, q)
+    inputs = bounds.BoundInputs(0.0, d, bounds.MajorChaosTail(q=q, c_q=1.0))
+    vals = bounds.evaluate_curve(inputs, [0.0, 2.0, 4.0, 8.0]).bounds
     print(f"  q={q}, EF^4={m4:4.1f}, c_q=1: " + "  ".join(f"{v:.5f}" for v in vals))

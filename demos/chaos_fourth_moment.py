@@ -55,5 +55,6 @@ print(f"\ncertification with slack k=3: violations={report.n_violations} "
 c = bounds.calibrate_major_constant(samples, q=2, xs=np.linspace(0.0, 8.0, 33))
 print(f"calibrated concentration constant on the sampled range (diagnostic "
       f"only, not rigorous): c = {c:.3f}")
+major = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=bounds.MajorChaosTail(q=2, c_q=c))
 print(f"displayed chaos bound with that c at z=4: "
-      f"{bounds.chaos_bound(2, m4, c, 4.0):.6f}")
+      f"{bounds.nonuniform_bound(major, 4.0):.6f}")

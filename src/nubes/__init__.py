@@ -5,7 +5,8 @@ Submodules
 gaussian   Stable normal CDF/tail kernels and the Stein equation solution.
 chaos      Finite-rank diagonal Wiener chaos: sampling, moments, exact q=2 CDF.
 expfun     Brownian exponential functional: moments, sampling, rate bound.
-bounds     Non-uniform bound formulas with pluggable tail models.
+bounds     The non-uniform bound engine with pluggable tail models; the chaos
+           bound is the engine with the chaos concentration tail.
 empirical  ECDFs, discrepancy curves, DKW bands, certification.
 sampling   Reproducible chunked Philox substreams.
 cli        Scenario runner with bit-stable CSV/JSON output.
@@ -26,13 +27,12 @@ from .bounds import (
     MarkovTail,
     TailModel,
     UnitTail,
-    chaos_bound,
     evaluate_curve,
     nonuniform_bound,
     tail_probability,
     uniform_bound,
 )
-from .chaos import ChaosMoments, DiagonalChaosSpec, exact_cdf_q2_rank1, hermite
+from .chaos import DiagonalChaosSpec, exact_cdf_q2_rank1, hermite
 from .empirical import (
     CertifyReport,
     EmpiricalCdf,

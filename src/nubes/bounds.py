@@ -14,15 +14,16 @@ the values to [0, 1] (clamping only tightens the bound since the modeled
 quantity is a probability).  `evaluate_curve` is one array expression over
 the whole grid and returns the columnar `BoundCurve`.
 
-The chaos specialization for a variance-one multiple Wiener-Ito integral of
-order q >= 2 is provided as `chaos_bound` in its displayed closed form
+The chaos bound for a variance-one multiple Wiener-Ito integral of order
+q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
+`MajorChaosTail`; where the clamp is inactive it equals the displayed form
 
-    sqrt((q-1)/(3q) (E F^4 - 3)) * (c_q e^{-|z|^{2/q}/2^{2+2/q}} + 2 e^{-z^2/4});
+    sqrt((q-1)/(3q) (E F^4 - 3)) * (c_q e^{-|z|^{2/q}/2^{2+2/q}} + 2 e^{-z^2/4}),
 
-the constant c_q is required from the caller (it is only known to exist, so
-curves should be read as a parametric family in c_q).  The z-independent
-discrepancy d itself is the uniform baseline the non-uniform curves are
-compared against.
+and elsewhere it is smaller.  The constant c_q is required from the caller
+(it is only known to exist, so curves should be read as a parametric family
+in c_q).  The z-independent discrepancy d itself is the uniform baseline the
+non-uniform curves are compared against.
 
 All evaluation is pure over immutable inputs and elementwise, so a curve may
 be partitioned across its grid arbitrarily with bit-identical results.
@@ -37,7 +38,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfun
-from .chaos import stein_discrepancy_upper
 
 __all__ = [
     "TailModel",
@@ -51,7 +51,6 @@ __all__ = [
     "BoundCurve",
     "tail_probability",
     "nonuniform_bound",
-    "chaos_bound",
     "uniform_bound",
     "evaluate_curve",
     "calibrate_major_constant",
@@ -210,20 +209,6 @@ class BoundCurve:
 def nonuniform_bound(inputs: BoundInputs, z: float) -> float:
     """(|E F| + d) * (sqrt(tail(|z|/2)) + 2 e^{-z^2/4}); even in z."""
     return float(evaluate_curve(inputs, [z]).bounds[0])
-
-
-def chaos_bound(q: int, fourth_moment: float, c_q: float, z: float) -> float:
-    """Displayed non-uniform bound for a variance-one chaos of order q."""
-    if int(q) != q or q < 2:
-        raise ValueError(f"q must be an integer >= 2, got {q}")
-    if not (c_q > 0.0 and math.isfinite(c_q)):
-        raise ValueError(f"c_q must be > 0, got {c_q}")
-    d = stein_discrepancy_upper(fourth_moment, q)
-    az = abs(z)
-    return d * (
-        c_q * math.exp(-(az ** (2.0 / q)) / 2.0 ** (2.0 + 2.0 / q))
-        + 2.0 * math.exp(-z * z / 4.0)
-    )
 
 
 def uniform_bound(inputs: BoundInputs) -> float:

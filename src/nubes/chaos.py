@@ -43,15 +43,12 @@ from .sampling import block_rows, map_chunks
 
 __all__ = [
     "DiagonalChaosSpec",
-    "ChaosMoments",
     "hermite",
     "variance",
     "normalize",
-    "sample",
     "sample_batch",
     "fourth_moment",
     "stein_discrepancy_upper",
-    "chaos_moments",
     "exact_cdf_q2_rank1",
     "exact_abs_tail_q2_rank1",
 ]
@@ -80,15 +77,6 @@ class DiagonalChaosSpec:
         object.__setattr__(self, "alphas", alphas)
 
 
-@dataclass(frozen=True)
-class ChaosMoments:
-    """Variance of the spec and moments of its variance-one normalization."""
-
-    variance: float
-    fourth_moment: float
-    discrepancy_upper: float
-
-
 def hermite(q: int, x):
     """Probabilists' Hermite polynomial H_q via the three-term recurrence."""
     if int(q) != q or q < 0:
@@ -98,8 +86,13 @@ def hermite(q: int, x):
     if q == 0:
         return float(h_prev) if xa.ndim == 0 else h_prev
     h = xa.copy()
+    tmp = np.empty_like(xa)
     for k in range(1, q):
-        h, h_prev = xa * h - k * h_prev, h
+        # H_{k+1} = x H_k - k H_{k-1}, written into the buffer of H_{k-1}
+        np.multiply(xa, h, out=tmp)
+        np.multiply(h_prev, k, out=h_prev)
+        np.subtract(tmp, h_prev, out=h_prev)
+        h, h_prev = h_prev, h
     return float(h) if xa.ndim == 0 else h
 
 
@@ -110,25 +103,11 @@ def variance(spec: DiagonalChaosSpec) -> float:
 
 def normalize(spec: DiagonalChaosSpec) -> DiagonalChaosSpec:
     """Rescale the coefficients so the variance is exactly one."""
-    scale = 1.0 / math.sqrt(variance(spec))
+    var = variance(spec)
+    if not (var > 0.0 and math.isfinite(var)):  # q! sum alpha_i^2 under- or overflowed
+        raise ValueError(f"chaos variance must be a positive finite number, got {var!r}")
+    scale = 1.0 / math.sqrt(var)
     return DiagonalChaosSpec(q=spec.q, alphas=tuple(a * scale for a in spec.alphas))
-
-
-def _is_normalized(spec: DiagonalChaosSpec, tol: float = 1e-12) -> bool:
-    return abs(variance(spec) - 1.0) <= tol
-
-
-def _require_normalized(spec: DiagonalChaosSpec):
-    if not _is_normalized(spec):
-        raise ValueError(
-            f"spec must have variance one (got {variance(spec)!r}); call normalize() first"
-        )
-
-
-def sample(spec: DiagonalChaosSpec, rng: np.random.Generator) -> float:
-    """One realization; consumes exactly len(alphas) standard normals."""
-    w = rng.standard_normal(len(spec.alphas))
-    return float(np.dot(hermite(spec.q, w), spec.alphas))
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -> np.ndarray:
@@ -163,7 +142,8 @@ def sample_batch(
 
 def fourth_moment(spec: DiagonalChaosSpec) -> float:
     """Exact E F^4 of the variance-one spec, for any order q."""
-    _require_normalized(spec)
+    if not abs(variance(spec) - 1.0) <= 1e-12:
+        raise ValueError(f"spec must have variance one (got {variance(spec)!r}); call normalize() first")
     q = spec.q
     hermite4 = sum(
         (math.factorial(r) * math.comb(q, r) ** 2) ** 2 * math.factorial(2 * q - 2 * r)
@@ -182,16 +162,6 @@ def stein_discrepancy_upper(fourth_moment_value: float, q: int) -> float:
             "for a variance-one chaos of order >= 2"
         )
     return math.sqrt((q - 1) / (3.0 * q) * (fourth_moment_value - 3.0))
-
-
-def chaos_moments(spec: DiagonalChaosSpec) -> ChaosMoments:
-    """Variance plus fourth-moment data of the normalized spec."""
-    m4 = fourth_moment(normalize(spec))
-    return ChaosMoments(
-        variance=variance(spec),
-        fourth_moment=m4,
-        discrepancy_upper=stein_discrepancy_upper(m4, spec.q),
-    )
 
 
 def exact_cdf_q2_rank1(z):

@@ -19,9 +19,10 @@ a = -3/2 is genuinely ill-conditioned (the bracket vanishes against the
 Standardized, F~_t = (F_t - m_t)/sigma_t satisfies one-sided concentration
 bounds and an explicit non-uniform normal-approximation rate whose prefactor
 is the square root of a second-moment bound on the Stein discrepancy; both
-are evaluated here.  Sampling uses exact Gaussian increments on a uniform
-grid and left-point or trapezoid quadrature of the integrand; paths are
-embarrassingly parallel over fixed substream chunks (worker-scheduling
+are evaluated here.  Moments and bounds whose exponentials leave the float
+range raise ValueError naming a and t.  Sampling uses exact Gaussian
+increments on a uniform grid and trapezoid quadrature of the integrand; paths
+are embarrassingly parallel over fixed substream chunks (worker-scheduling
 independent).  Inside a chunk the paths are drawn and integrated in
 cache-sized row blocks, in row order, through one reused increment buffer,
 so the draws and each path's arithmetic are those of the whole chunk.  The
@@ -30,6 +31,7 @@ closed-form evaluators are pure.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -49,7 +51,6 @@ __all__ = [
     "variance_sigma2",
     "moments",
     "integral_from_increments",
-    "sample_ft",
     "sample_batch",
     "standardize",
     "upper_tail_bound",
@@ -62,7 +63,6 @@ PATH_CHUNK = 4096  # fixed chunk size (in paths) of the parallel sampling layout
 
 
 class Scheme(enum.Enum):
-    LEFT_POINT = "left"
     TRAPEZOID = "trapezoid"
 
 
@@ -82,10 +82,9 @@ class ExpFunParams:
 
 @dataclass(frozen=True)
 class PathConfig:
-    """Uniform-grid discretization: cell count and quadrature scheme."""
+    """Uniform-grid discretization: the cell count of the trapezoid rule."""
 
     n_steps: int
-    scheme: Scheme = Scheme.TRAPEZOID
 
     def __post_init__(self):
         if int(self.n_steps) != self.n_steps or self.n_steps < 2:
@@ -120,10 +119,20 @@ def _require_t(t: float):
         raise ValueError(f"t must be finite and > 0, got {t}")
 
 
+@contextlib.contextmanager
+def _float_range(a: float, t: float):
+    """Re-raise a float overflow (math.exp, expm1, **) as a ValueError naming a and t."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise ValueError(f"a={a!r}, t={t!r} overflow the float range of the exponential functional") from exc
+
+
 def mean_mt(a: float, t: float) -> float:
     """m_t = E F_t, continuous in a across the removable point a = -1/2."""
     _require_t(t)
-    return _iexp(a + 0.5, t)
+    with _float_range(a, t):
+        return _iexp(a + 0.5, t)
 
 
 # Below this |c| * t the direct bracket loses more than ~4 digits to
@@ -135,19 +144,20 @@ def second_moment(a: float, t: float) -> float:
     """E F_t^2 in closed form, with a series branch near a = -3/2."""
     _require_t(t)
     c = a + 1.5
-    if abs(c * t) >= _SERIES_THRESHOLD:
-        return 2.0 / c * (_iexp(2.0 * a + 2.0, t) - _iexp(a + 0.5, t))
-    # E F^2 = 2 * integral_0^t u e^{bu} (1 + cu/2 + (cu)^2/6 + (cu)^3/24 + ...) du
-    b = a + 0.5  # |b| = |c - 1| ~ 1 here, so the J-recurrence is well conditioned
-    ebt = math.exp(b * t)
-    j = _iexp(b, t)
-    total = 0.0
-    coeff = 2.0
-    for k in range(1, 5):
-        j = (t**k * ebt - k * j) / b
-        total += coeff * j
-        coeff *= c / (k + 1.0)
-    return total
+    with _float_range(a, t):
+        if abs(c * t) >= _SERIES_THRESHOLD:
+            return 2.0 / c * (_iexp(2.0 * a + 2.0, t) - _iexp(a + 0.5, t))
+        # E F^2 = 2 * integral_0^t u e^{bu} (1 + cu/2 + (cu)^2/6 + (cu)^3/24 + ...) du
+        b = a + 0.5  # |b| = |c - 1| ~ 1 here, so the J-recurrence is well conditioned
+        ebt = math.exp(b * t)
+        j = _iexp(b, t)
+        total = 0.0
+        coeff = 2.0
+        for k in range(1, 5):
+            j = (t**k * ebt - k * j) / b
+            total += coeff * j
+            coeff *= c / (k + 1.0)
+        return total
 
 
 def variance_sigma2(a: float, t: float) -> float:
@@ -163,29 +173,21 @@ def integral_from_increments(a: float, t: float, increments: np.ndarray, scheme:
     """Quadrature of exp(a s + B_s) from Brownian increments of variance t/n.
 
     `increments` has shape (..., n_steps); the path starts at B_0 = 0 and the
-    integrand is evaluated on the node values of the cumulated path.
+    integrand is evaluated on the node values of the cumulated path by the
+    trapezoid rule, the only scheme.
     """
+    if scheme is not Scheme.TRAPEZOID:
+        raise ValueError(f"unknown scheme {scheme!r}")
     w = np.asarray(increments, dtype=float)
     n = w.shape[-1]
     step = t / n
     y = np.cumsum(w, axis=-1)  # a new array: the increments are never written
     y += a * (step * np.arange(1, n + 1))
     np.exp(y, out=y)  # integrand at nodes 1..n; node 0 is 1
-    if scheme is Scheme.TRAPEZOID:
-        return step * (0.5 + np.sum(y[..., :-1], axis=-1) + 0.5 * y[..., -1])
-    if scheme is Scheme.LEFT_POINT:
-        return step * (1.0 + np.sum(y[..., :-1], axis=-1))
-    raise ValueError(f"unknown scheme {scheme!r}")
+    return step * (0.5 + np.sum(y[..., :-1], axis=-1) + 0.5 * y[..., -1])
 
 
-def sample_ft(params: ExpFunParams, cfg: PathConfig, rng: np.random.Generator) -> float:
-    """One realization of F_t; consumes exactly n_steps standard normals."""
-    step = params.t / cfg.n_steps
-    w = rng.standard_normal(cfg.n_steps) * math.sqrt(step)
-    return float(integral_from_increments(params.a, params.t, w, cfg.scheme))
-
-
-def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_steps: int, scheme: Scheme) -> np.ndarray:
+def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_steps: int) -> np.ndarray:
     # one reused block of increments, filled in the chunk's draw order: out
     # equals the quadrature of rng.standard_normal((count, n_steps)) * scale
     scale = math.sqrt(t / n_steps)
@@ -196,7 +198,7 @@ def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_step
         w = block[: min(rows, count - start)]
         rng.standard_normal(w.shape, out=w)
         w *= scale
-        out[start : start + len(w)] = integral_from_increments(a, t, w, scheme)
+        out[start : start + len(w)] = integral_from_increments(a, t, w, Scheme.TRAPEZOID)
     return out
 
 
@@ -210,7 +212,7 @@ def sample_batch(
 ) -> np.ndarray:
     """n_paths realizations on the fixed substream layout (worker-count invariant)."""
     return map_chunks(
-        _path_chunk, (params.a, params.t, cfg.n_steps, cfg.scheme), seed, n_paths, chunk_size, workers
+        _path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, chunk_size, workers
     )
 
 
@@ -243,7 +245,8 @@ def lower_tail_bound(x):
 def discrepancy_sq_upper(params: ExpFunParams, m: ExpFunMoments) -> float:
     """Upper bound 4 t^7 e^{4at+8t} / sigma_t^4 on the squared Stein discrepancy of F~_t."""
     a, t = params.a, params.t
-    return 4.0 * t**7 * math.exp(4.0 * a * t + 8.0 * t) / m.sigma2_t**2
+    with _float_range(a, t):
+        return 4.0 * t**7 * math.exp(4.0 * a * t + 8.0 * t) / m.sigma2_t**2
 
 
 def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
@@ -253,9 +256,9 @@ def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
     with prefactor = 2 e^{2at+4t} t^3 sqrt(t) / sigma_t^2, the square root of
     discrepancy_sq_upper.
     """
-    a, t = params.a, params.t
+    t = params.t
     za = np.abs(np.asarray(z, dtype=float))
-    prefactor = 2.0 * math.exp(2.0 * a * t + 4.0 * t) * t**3 * math.sqrt(t) / m.sigma2_t
+    prefactor = math.sqrt(discrepancy_sq_upper(params, m))
     terms = (
         np.exp(-np.log1p(za * m.sigma_t / (2.0 * m.m_t)) ** 2 / (4.0 * t))
         + np.exp(-(za**2) / 16.0)

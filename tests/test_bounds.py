@@ -160,51 +160,69 @@ class TestNonuniformBound:
             bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [0.0, math.nan])
 
 
+def chaos_inputs(q: int, fourth_moment: float, c_q: float) -> BoundInputs:
+    """The chaos bound: the engine with the fourth-moment d and the concentration tail."""
+    return BoundInputs(0.0, chaos.stein_discrepancy_upper(fourth_moment, q), MajorChaosTail(q=q, c_q=c_q))
+
+
+def displayed_chaos_form(q: int, fourth_moment: float, c_q: float, z: float) -> float:
+    """The paper's closed form sqrt((q-1)/(3q)(E F^4 - 3)) (c_q e^{-|z|^{2/q}/2^{2+2/q}} + 2 e^{-z^2/4})."""
+    d = math.sqrt((q - 1) / (3.0 * q) * (fourth_moment - 3.0))
+    return d * (c_q * math.exp(-(abs(z) ** (2.0 / q)) / 2.0 ** (2.0 + 2.0 / q)) + 2.0 * math.exp(-z * z / 4.0))
+
+
 class TestChaosBound:
+    """The chaos bound is `evaluate_curve` with `MajorChaosTail`."""
+
     def test_q2_at_zero(self):
-        assert abs(bounds.chaos_bound(2, 15.0, 1.0, 0.0) - 3.0 * SQRT2) <= 1e-14
+        assert abs(bounds.nonuniform_bound(chaos_inputs(2, 15.0, 1.0), 0.0) - 3.0 * SQRT2) <= 1e-14
 
     def test_vanishing_discrepancy(self):
-        for z in (-3.0, 0.0, 7.7):
-            assert bounds.chaos_bound(2, 3.0, 5.0, z) == 0.0
+        curve = bounds.evaluate_curve(chaos_inputs(2, 3.0, 5.0), [-3.0, 0.0, 7.7])
+        assert np.all(curve.bounds == 0.0)
 
     def test_q3_exponent_arithmetic(self):
-        # 8^{2/3} = 4, so the chaos exponent is -4 / 2^{8/3}
-        val = bounds.chaos_bound(3, 9.0, 2.0, 8.0)
+        # at z = 16 the tail is read at x = 8, and 8^{2/3} = 4: c^2 e^{-2} = 4 e^{-2} < 1
+        curve = bounds.evaluate_curve(chaos_inputs(3, 9.0, 2.0), [16.0])
+        assert abs(curve.tail_term[0] - 4.0 * math.exp(-2.0)) <= 1e-15
         d = math.sqrt(2.0 / 9.0 * 6.0)
-        expected = d * (2.0 * math.exp(-4.0 / 2.0 ** (8.0 / 3.0)) + 2.0 * math.exp(-16.0))
-        assert abs(val - expected) <= 1e-15
+        expected = d * (2.0 * math.exp(-1.0) + 2.0 * math.exp(-64.0))
+        assert abs(curve.bounds[0] - expected) <= 1e-15
 
     def test_first_factor_is_discrepancy_upper(self):
         for q, m4 in ((2, 15.0), (3, 9.0), (5, 4.2)):
-            big_z = 1e6  # both exponentials vanish at the same rate ratio
             d = chaos.stein_discrepancy_upper(m4, q)
-            val = bounds.chaos_bound(q, m4, 1.0, 0.0)
+            val = bounds.nonuniform_bound(chaos_inputs(q, m4, 1.0), 0.0)
             assert abs(val - d * (1.0 + 2.0)) <= 1e-12
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError, match="fourth-moment"):
-            bounds.chaos_bound(2, 2.99, 1.0, 0.0)
+            chaos_inputs(2, 2.99, 1.0)
         with pytest.raises(ValueError):
-            bounds.chaos_bound(1, 15.0, 1.0, 0.0)
+            chaos_inputs(1, 15.0, 1.0)
         with pytest.raises(ValueError):
-            bounds.chaos_bound(2, 15.0, 0.0, 0.0)
+            chaos_inputs(2, 15.0, 0.0)
 
     def test_consistency_with_engine(self):
         # sqrt(c^2 e^{-(|z|/2)^{2/q}/2}) = c e^{-|z|^{2/q}/2^{2+2/q}}; with c <= 1
-        # the Major tail never clamps and the two routes agree exactly
+        # the Major tail never clamps and the engine is the displayed form
         for q in (2, 3, 4):
-            inputs = BoundInputs(0.0, chaos.stein_discrepancy_upper(15.0, q), MajorChaosTail(q=q, c_q=1.0))
-            for z in np.linspace(-6, 6, 25):
-                a = bounds.chaos_bound(q, 15.0, 1.0, float(z))
-                b = bounds.nonuniform_bound(inputs, float(z))
+            zs = np.linspace(-6, 6, 25)
+            curve = bounds.evaluate_curve(chaos_inputs(q, 15.0, 1.0), zs)
+            for z, b in zip(zs, curve.bounds):
+                a = displayed_chaos_form(q, 15.0, 1.0, float(z))
                 assert abs(a - b) <= 1e-12 * max(1.0, a)
-        # c > 1: identical beyond the clamping region
-        inputs = BoundInputs(0.0, SQRT2, MajorChaosTail(q=2, c_q=2.0))
-        for z in (6.0, 8.0, -10.0):
-            a = bounds.chaos_bound(2, 15.0, 2.0, z)
-            b = bounds.nonuniform_bound(inputs, z)
-            assert abs(a - b) <= 1e-12 * a
+        # c > 1: equal beyond the clamping region, smaller inside it
+        zs = np.array([-10.0, -1.0, 0.0, 0.5, 2.0, 6.0, 8.0])
+        curve = bounds.evaluate_curve(chaos_inputs(2, 15.0, 2.0), zs)
+        clamped = curve.tail_term == 1.0
+        assert np.any(clamped) and not np.all(clamped)
+        for z, b, clamp in zip(zs, curve.bounds, clamped):
+            a = displayed_chaos_form(2, 15.0, 2.0, float(z))
+            if clamp:
+                assert b <= a
+            else:
+                assert abs(a - b) <= 1e-12 * a
 
 
 class TestUniformBound:

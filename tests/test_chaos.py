@@ -6,6 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from nubes import bounds, chaos, empirical
 from nubes.sampling import substream
@@ -51,6 +54,34 @@ class TestHermite:
         with pytest.raises(ValueError):
             chaos.hermite(-1, 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.one_of(
+            st.floats(),
+            arrays(np.float64, array_shapes(min_dims=2, max_dims=2, max_side=40), elements=st.floats()),
+        ),
+    )
+    def test_equals_allocating_recurrence(self, q, x):
+        before = np.copy(x)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf for huge x, in both
+            got, want = chaos.hermite(q, x), _hermite_reference(q, x)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+        assert np.array_equal(x, before, equal_nan=True)
+
+
+def _hermite_reference(q: int, x):
+    """The three-term recurrence allocating new arrays at every step."""
+    xa = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(xa)
+    if q == 0:
+        return float(h_prev) if xa.ndim == 0 else h_prev
+    h = xa.copy()
+    for k in range(1, q):
+        h, h_prev = xa * h - k * h_prev, h
+    return float(h) if xa.ndim == 0 else h
+
 
 class TestVarianceNormalize:
     def test_exact_values(self):
@@ -71,6 +102,12 @@ class TestVarianceNormalize:
         twice = chaos.normalize(spec)
         assert all(abs(a - b) <= 1e-15 for a, b in zip(spec.alphas, twice.alphas))
 
+    def test_normalize_rejects_degenerate_variance(self):
+        # q! sum alpha^2 underflows to 0 or overflows to inf
+        for alpha in (1e-200, 1e200):
+            with pytest.raises(ValueError, match="variance must be a positive finite"):
+                chaos.normalize(chaos.DiagonalChaosSpec(2, (alpha,)))
+
     def test_direction_preserved(self):
         spec = chaos.normalize(chaos.DiagonalChaosSpec(2, (-3.0, 4.0)))
         assert spec.alphas[0] < 0.0 < spec.alphas[1]
@@ -78,27 +115,29 @@ class TestVarianceNormalize:
 
 
 class _FixedRng:
-    """Stub generator handing out a preset vector once."""
+    """Stub generator handing out a preset (rows, alphas) array once."""
 
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
 
     def standard_normal(self, size):
-        assert size == self._values.size
+        assert tuple(size) == self._values.shape
         return self._values.copy()
 
 
 class TestSampling:
     def test_forced_draws(self, rank1):
-        assert abs(chaos.sample(rank1, _FixedRng([0.0])) + 1.0 / math.sqrt(2.0)) <= 1e-15
-        assert abs(chaos.sample(rank1, _FixedRng([1.0]))) <= 1e-15  # H_2(1) = 0
+        got = chaos._sample_chunk(_FixedRng([[0.0], [1.0]]), 2, rank1.q, rank1.alphas)
+        assert abs(got[0] + 1.0 / math.sqrt(2.0)) <= 1e-15
+        assert abs(got[1]) <= 1e-15  # H_2(1) = 0
 
     def test_consumes_exactly_len_alphas(self):
+        # each sample consumes len(alphas) normals, drawn in row order
         spec = chaos.normalize(chaos.DiagonalChaosSpec(2, (1.0, 2.0, 3.0)))
         rng_a = substream(99, 0)
         rng_b = substream(99, 0)
-        chaos.sample(spec, rng_a)
-        rng_b.standard_normal(3)
+        chaos._sample_chunk(rng_a, 5, spec.q, spec.alphas)
+        rng_b.standard_normal((5, 3))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_batch_matches_worker_counts(self, rank1):
@@ -186,11 +225,12 @@ class TestMoments:
         se = g.std(ddof=1) / math.sqrt(g.size)
         assert abs(g.mean() - 2.0) <= 4.0 * se
 
-    def test_chaos_moments_bundle(self, rank1):
-        cm = chaos.chaos_moments(chaos.DiagonalChaosSpec(2, (1.0,)))
-        assert abs(cm.variance - 2.0) <= 1e-14
-        assert abs(cm.fourth_moment - 15.0) <= 1e-12
-        assert abs(cm.discrepancy_upper - math.sqrt(2.0)) <= 1e-12
+    def test_moments_of_unnormalized_spec(self):
+        spec = chaos.DiagonalChaosSpec(2, (1.0,))
+        assert abs(chaos.variance(spec) - 2.0) <= 1e-14
+        m4 = chaos.fourth_moment(chaos.normalize(spec))
+        assert abs(m4 - 15.0) <= 1e-12
+        assert abs(chaos.stein_discrepancy_upper(m4, spec.q) - math.sqrt(2.0)) <= 1e-12
 
 
 class TestExactCdf:

@@ -242,14 +242,21 @@ class TestBoundOnlyScenario:
         (["bound-only", "--discrepancy", "1", "--mean-abs", "-0.5"], "mean_abs"),
         (["expfun-compare", "--t", "0", "--samples", "10"], "t must be > 0"),
         (["expfun-compare", "--n-steps", "1", "--samples", "10"], "n_steps"),
+        (["chaos-compare", "--alphas", "1e-200", "--samples", "10"], "variance must be a positive finite"),
+        (["chaos-compare", "--alphas", "1e200", "--samples", "10"], "variance must be a positive finite"),
+        (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1000"], "a=0.0, t=1000.0"),
+        (["expfun-compare", "--t", "100", "--samples", "10", "--n-steps", "10"], "a=0.0, t=100.0"),
     ],
-    ids=["discrepancy", "mean-abs", "t", "n-steps"],
+    ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-variance-underflow", "chaos-variance-overflow",
+         "expfun-moments-overflow", "expfun-rate-overflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
-    # the CLI leaves these ranges to the library and reports its error
+    # the CLI leaves these ranges to the library and reports its error on one line
     out = tmp_path / "x.csv"
     assert run_cli(args + ["--output", out]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("nubes: error") and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -109,7 +109,6 @@ class TestSampling:
         # flat path, a = 0: the integrand is identically 1
         w = np.zeros(64)
         assert abs(expfun.integral_from_increments(0.0, 0.7, w, Scheme.TRAPEZOID) - 0.7) <= 1e-15
-        assert abs(expfun.integral_from_increments(0.0, 0.7, w, Scheme.LEFT_POINT) - 0.7) <= 1e-15
 
     def test_two_step_trapezoid_by_hand(self):
         w1, w2 = 0.4, -0.9
@@ -117,27 +116,26 @@ class TestSampling:
         hand = 0.25 * (1.0 + 2.0 * math.exp(w1) + math.exp(w1 + w2))
         assert abs(val - hand) <= 1e-15
 
-    def test_two_step_left_point_by_hand(self):
-        w1, w2 = 0.4, -0.9
-        val = expfun.integral_from_increments(0.0, 1.0, np.array([w1, w2]), Scheme.LEFT_POINT)
-        assert abs(val - 0.5 * (1.0 + math.exp(w1))) <= 1e-15
+    def test_rejects_other_schemes(self):
+        w = np.zeros(4)
+        for scheme in ("trapezoid", "left", None):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                expfun.integral_from_increments(0.0, 1.0, w, scheme)
 
     def test_increments_left_unchanged(self):
         w = np.random.default_rng(4).standard_normal((3, 40)) * 0.05
         before = w.copy()
-        for scheme in Scheme:
-            expfun.integral_from_increments(0.2, 0.1, w, scheme)
+        expfun.integral_from_increments(0.2, 0.1, w, Scheme.TRAPEZOID)
         assert np.array_equal(w, before)
 
     def test_consumes_exactly_n_steps(self):
+        # each path consumes n_steps normals, drawn in row order
         from nubes.sampling import substream
 
-        params = ExpFunParams(a=0.3, t=0.2)
-        cfg = PathConfig(n_steps=17)
         rng_a = substream(5, 0)
         rng_b = substream(5, 0)
-        expfun.sample_ft(params, cfg, rng_a)
-        rng_b.standard_normal(17)
+        expfun._path_chunk(rng_a, 3, 0.3, 0.2, 17)
+        rng_b.standard_normal((3, 17))
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
     def test_batch_matches_worker_counts(self):
@@ -263,6 +261,24 @@ class TestRateBound:
         m = expfun.moments(params)
         pref = math.sqrt(expfun.discrepancy_sq_upper(params, m))
         assert abs(expfun.clt_rate_bound(params, m, 0.0) - 4.0 * pref) <= 1e-13
+
+    def test_overflow_names_a_and_t(self):
+        # e^{lam t} for the moments, e^{4at+8t} for the rate prefactor, t^k in the series
+        cases = [
+            (lambda: expfun.mean_mt(0.0, 2000.0), "a=0.0, t=2000.0"),
+            (lambda: expfun.moments(ExpFunParams(a=0.0, t=1000.0)), "a=0.0, t=1000.0"),
+            (lambda: expfun.second_moment(-1.5, 1e100), "a=-1.5, t=1e+100"),
+        ]
+        params = ExpFunParams(a=0.0, t=100.0)
+        m = expfun.moments(params)  # finite: e^{2t} = e^{200}
+        cases += [
+            (lambda: expfun.discrepancy_sq_upper(params, m), "a=0.0, t=100.0"),
+            (lambda: expfun.clt_rate_bound(params, m, 1.0), "a=0.0, t=100.0"),
+        ]
+        for call, names in cases:
+            with pytest.raises(ValueError, match="overflow") as info:
+                call()
+            assert names in str(info.value)
 
     def test_even_in_z(self):
         params = ExpFunParams(a=0.0, t=0.05)

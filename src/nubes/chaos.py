@@ -98,16 +98,25 @@ def hermite(q: int, x):
 
 def variance(spec: DiagonalChaosSpec) -> float:
     """Exact variance q! * sum alpha_i^2 (Wiener-Ito isometry)."""
-    return math.factorial(spec.q) * float(sum(a * a for a in spec.alphas))
+    try:
+        return math.factorial(spec.q) * float(sum(a * a for a in spec.alphas))
+    except OverflowError as exc:  # q! itself is beyond the float range
+        raise ValueError(f"q={spec.q} overflows the float range of the chaos variance") from exc
 
 
 def normalize(spec: DiagonalChaosSpec) -> DiagonalChaosSpec:
-    """Rescale the coefficients so the variance is exactly one."""
-    var = variance(spec)
-    if not (var > 0.0 and math.isfinite(var)):  # q! sum alpha_i^2 under- or overflowed
-        raise ValueError(f"chaos variance must be a positive finite number, got {var!r}")
+    """Rescale the coefficients so the variance is exactly one.
+
+    The coefficients are divided by max|alpha_i| first, so the result does
+    not depend on their scale; when that maximum is 1 the division is exact.
+    """
+    peak = max(abs(a) for a in spec.alphas)
+    unit = DiagonalChaosSpec(q=spec.q, alphas=tuple(a / peak for a in spec.alphas))
+    var = variance(unit)
+    if not math.isfinite(var):  # q! times the rank is beyond the float range
+        raise ValueError(f"q={spec.q} overflows the float range of the chaos variance")
     scale = 1.0 / math.sqrt(var)
-    return DiagonalChaosSpec(q=spec.q, alphas=tuple(a * scale for a in spec.alphas))
+    return DiagonalChaosSpec(q=spec.q, alphas=tuple(a * scale for a in unit.alphas))
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -> np.ndarray:
@@ -149,7 +158,10 @@ def fourth_moment(spec: DiagonalChaosSpec) -> float:
         (math.factorial(r) * math.comb(q, r) ** 2) ** 2 * math.factorial(2 * q - 2 * r)
         for r in range(q + 1)
     )
-    return 3.0 + (hermite4 - 3 * math.factorial(q) ** 2) * float(sum(a**4 for a in spec.alphas))
+    try:
+        return 3.0 + (hermite4 - 3 * math.factorial(q) ** 2) * float(sum(a**4 for a in spec.alphas))
+    except OverflowError as exc:  # E H_q^4 is beyond the float range
+        raise ValueError(f"q={q} overflows the float range of E F^4") from exc
 
 
 def stein_discrepancy_upper(fourth_moment_value: float, q: int) -> float:

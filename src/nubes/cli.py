@@ -11,6 +11,15 @@ expfun-compare  The same comparison for the standardized Brownian exponential
                 functional, certified against its explicit rate bound.
 bound-only      Evaluate a bound curve (no sampling).
 
+Configuration: each scenario has one ordered flag table, `_FLAGS[scenario]`,
+mapping a flag to (type or tuple of choices, default, help).  It defines the
+argparse flags, the keys a JSON config file may hold, the defaults, the
+choices (checked for flag and file values alike) and the order of the JSON
+"parameters" echo.  Ranges the library checks are left to it; the CLI checks
+only the grids, the output, the options a tail model requires, slack-k
+(certify sees it only after sampling) and workers (two scenarios never
+sample), all before any sampling starts.
+
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
 Philox substreams keyed by chunk index, each chunk is drawn in row blocks in
@@ -53,96 +62,79 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-# flag name -> (type converter, help); merged per scenario below
-_COMMON = {
-    "z-min": (float, "left end of the z grid"),
-    "z-max": (float, "right end of the z grid"),
-    "z-count": (int, "number of z grid points"),
-    "output": (str, "output file path ('-' for stdout)"),
-    "format": (str, "output format: csv or json"),
-    "workers": (int, "sampling processes; at most one per chunk and per usable CPU (does not affect output bytes)"),
+# Flag groups, spliced into one ordered table per scenario (_FLAGS): flag ->
+# (type or tuple of choices, default, help).  Table order is JSON "parameters" order.
+def _z_grid(lo: float, hi: float, count: int) -> dict:
+    return {
+        "z-min": (float, lo, "left end of the z grid"),
+        "z-max": (float, hi, "right end of the z grid"),
+        "z-count": (int, count, "number of z grid points"),
+    }
+
+
+_OUTPUT = {
+    "output": (str, None, "output file path ('-' for stdout)"),
+    "format": (("csv", "json"), "csv", "output format"),
+    "workers": (int, 1, "sampling processes; at most one per chunk and per usable CPU (does not affect output bytes)"),
+}
+_SAMPLES = {
+    "seed": (int, 0, "seed of the Philox substream family"),
+    "samples": (int, 100_000, "number of Monte Carlo samples / paths"),
+}
+_SLACK = {"slack-k": (float, 3.0, "certification slack in binomial standard errors")}
+_TAIL_CONSTANTS = {
+    "c-q": (float, None, "chaos concentration constant (required for --tail major)"),
+    "markov-p": (float, 6.0, "Markov tail exponent"),
+    "markov-moment": (float, None, "E|F|^p (required for --tail markov)"),
+}
+_EXPFUN = {
+    "a": (float, 0.0, "drift of the exponential functional"),
+    "t": (float, 0.1, "time horizon (> 0)"),
 }
 
-# the scenarios that sample and certify
-_SAMPLED = {
-    "seed": (int, "seed of the Philox substream family"),
-    "samples": (int, "number of Monte Carlo samples / paths"),
-    "slack-k": (float, "certification slack in binomial standard errors"),
-}
-
-_SCENARIO_FLAGS = {
+_FLAGS = {
     "stein-check": {
-        "x-min": (float, "left end of the x grid"),
-        "x-max": (float, "right end of the x grid"),
-        "x-count": (int, "number of x grid points"),
+        **_z_grid(-6.0, 6.0, 49), **_OUTPUT,
+        "x-min": (float, -10.0, "left end of the x grid"),
+        "x-max": (float, 10.0, "right end of the x grid"),
+        "x-count": (int, 2001, "number of x grid points"),
     },
     "chaos-compare": {
-        **_SAMPLED,
-        "q": (int, "chaos order (>= 2)"),
-        "alphas": (str, "comma-separated kernel coefficients"),
-        "tail": (str, "tail model: exact, markov, major, empirical, unit"),
-        "c-q": (float, "chaos concentration constant (required for --tail major)"),
-        "markov-p": (float, "Markov tail exponent"),
-        "markov-moment": (float, "E|F|^p for the Markov tail"),
+        **_SAMPLES, **_z_grid(-8.0, 8.0, 161), **_OUTPUT, **_SLACK,
+        "q": (int, 2, "chaos order (>= 2)"),
+        "alphas": (str, "1", "comma-separated kernel coefficients"),
+        "tail": (("exact", "markov", "major", "empirical", "unit"), "exact", "tail model"),
+        **_TAIL_CONSTANTS,
     },
     "expfun-compare": {
-        **_SAMPLED,
-        "a": (float, "drift of the exponential functional"),
-        "t": (float, "time horizon (> 0)"),
-        "n-steps": (int, "path discretization steps (default 2000 * t / 0.1)"),
+        **_SAMPLES, **_z_grid(-5.0, 5.0, 101), **_OUTPUT, **_SLACK, **_EXPFUN,
+        "n-steps": (int, None, "path discretization steps (default 2000 * t / 0.1)"),
     },
     "bound-only": {
-        "mean-abs": (float, "|E F| input of the bound"),
-        "discrepancy": (float, "Stein discrepancy input of the bound (required)"),
-        "tail": (str, "tail model: exact, markov, major, expfun, unit"),
-        "q": (int, "chaos order for --tail major"),
-        "c-q": (float, "chaos concentration constant for --tail major"),
-        "markov-p": (float, "Markov tail exponent"),
-        "markov-moment": (float, "E|F|^p for the Markov tail"),
-        "a": (float, "drift, for --tail expfun"),
-        "t": (float, "horizon, for --tail expfun"),
+        **_z_grid(-8.0, 8.0, 161), **_OUTPUT,
+        "mean-abs": (float, 0.0, "|E F| input of the bound"),
+        "discrepancy": (float, None, "Stein discrepancy input of the bound (required)"),
+        "tail": (("exact", "markov", "major", "expfun", "unit"), "unit", "tail model"),
+        "q": (int, 2, "chaos order for --tail major"),
+        **_TAIL_CONSTANTS, **_EXPFUN,
     },
 }
 
-_DEFAULTS = {
-    "stein-check": {
-        "z-min": -6.0, "z-max": 6.0, "z-count": 49,
-        "output": None, "format": "csv", "workers": 1,
-        "x-min": -10.0, "x-max": 10.0, "x-count": 2001,
-    },
-    "chaos-compare": {
-        "seed": 0, "samples": 100_000, "z-min": -8.0, "z-max": 8.0, "z-count": 161,
-        "output": None, "format": "csv", "slack-k": 3.0, "workers": 1,
-        "q": 2, "alphas": "1", "tail": "exact", "c-q": None,
-        "markov-p": 6.0, "markov-moment": None,
-    },
-    "expfun-compare": {
-        "seed": 0, "samples": 100_000, "z-min": -5.0, "z-max": 5.0, "z-count": 101,
-        "output": None, "format": "csv", "slack-k": 3.0, "workers": 1,
-        "a": 0.0, "t": 0.1, "n-steps": None,
-    },
-    "bound-only": {
-        "z-min": -8.0, "z-max": 8.0, "z-count": 161,
-        "output": None, "format": "csv", "workers": 1,
-        "mean-abs": 0.0, "discrepancy": None, "tail": "unit",
-        "q": 2, "c-q": None, "markov-p": 6.0, "markov-moment": None,
-        "a": 0.0, "t": 0.1,
-    },
-}
 
-SCENARIOS = tuple(_DEFAULTS)
+def _type(kind):
+    return str if isinstance(kind, tuple) else kind
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="nubes", description="non-uniform Berry-Esseen bound scenarios")
     sub = parser.add_subparsers(dest="scenario", metavar="SCENARIO")
-    for name in SCENARIOS:
+    for name, table in _FLAGS.items():
         p = sub.add_parser(name, help=f"run the {name} scenario")
         p.add_argument("--config", type=str, default=None, help="JSON config file (flags override it)")
-        flags = dict(_COMMON)
-        flags.update(_SCENARIO_FLAGS[name])
-        for flag, (conv, help_text) in flags.items():
-            p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=conv, default=None, help=help_text)
+        for flag, (kind, _, help_text) in table.items():
+            if isinstance(kind, tuple):
+                help_text = f"{help_text}: {', '.join(kind)}"
+            p.add_argument(f"--{flag}", dest=flag, type=_type(kind), default=None, help=help_text)
     return parser
 
 
@@ -166,15 +158,11 @@ def _coerce(key: str, value, conv):
 
 def parse_config(argv: Sequence[str]) -> dict:
     """Resolve scenario + settings from argv and an optional JSON config file."""
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
+    ns = _build_parser().parse_args(list(argv))
     if ns.scenario is None:
-        raise UsageError(f"a scenario is required: one of {', '.join(SCENARIOS)}")
-    scenario = ns.scenario
-    allowed = dict(_COMMON)
-    allowed.update(_SCENARIO_FLAGS[scenario])
-
-    cfg = dict(_DEFAULTS[scenario])
+        raise UsageError(f"a scenario is required: one of {', '.join(_FLAGS)}")
+    table = _FLAGS[ns.scenario]
+    cfg = {flag: default for flag, (_, default, _) in table.items()}
     if ns.config is not None:
         try:
             with open(ns.config, "r", encoding="utf-8") as fh:
@@ -185,64 +173,52 @@ def parse_config(argv: Sequence[str]) -> dict:
             raise UsageError(f"config file {ns.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {ns.config} must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(allowed))
+        unknown = sorted(set(file_cfg) - set(table))
         if unknown:
-            raise UsageError(f"unknown config key(s) for {scenario}: {', '.join(unknown)}")
+            raise UsageError(f"unknown config key(s) for {ns.scenario}: {', '.join(unknown)}")
         for key, value in file_cfg.items():
-            cfg[key] = _coerce(key, value, allowed[key][0])
-    for flag in allowed:
-        value = getattr(ns, flag.replace("-", "_"))
-        if value is not None:
-            cfg[flag] = value
-
-    cfg["scenario"] = scenario
+            cfg[key] = _coerce(key, value, _type(table[key][0]))
+    cfg.update((flag, value) for flag, value in vars(ns).items() if flag in table and value is not None)
+    for flag, (kind, _, _) in table.items():
+        if isinstance(kind, tuple) and cfg[flag] not in kind:
+            raise UsageError(f"--{flag} must be one of {', '.join(kind)}; got {cfg[flag]!r}")
+    cfg["scenario"] = ns.scenario
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: dict):
+    # only what the library cannot check before the work starts
     scenario = cfg["scenario"]
     if cfg["output"] is None:
         raise UsageError("--output is required")
-    if cfg["format"] not in ("csv", "json"):
-        raise UsageError(f"--format must be csv or json, got {cfg['format']!r}")
     if cfg["z-count"] < 1:
         raise UsageError(f"--z-count must be >= 1, got {cfg['z-count']}")
-    if not cfg["z-min"] <= cfg["z-max"]:
-        raise UsageError(f"--z-min must be <= --z-max, got {cfg['z-min']} > {cfg['z-max']}")
-    if cfg["workers"] < 1:
+    if not 0.0 <= cfg["z-max"] - cfg["z-min"] < math.inf:  # else np.linspace warns and makes nan
+        raise UsageError(f"--z-min and --z-max must be finite and in order, got {cfg['z-min']} and {cfg['z-max']}")
+    if cfg["workers"] < 1:  # stein-check and bound-only never reach the sampler
         raise UsageError(f"--workers must be >= 1, got {cfg['workers']}")
-    if scenario in ("chaos-compare", "expfun-compare"):
-        if cfg["seed"] < 0:
-            raise UsageError(f"--seed must be >= 0, got {cfg['seed']}")
-        if cfg["slack-k"] < 0:
-            raise UsageError(f"--slack-k must be >= 0, got {cfg['slack-k']}")
-        if cfg["samples"] < 1:
-            raise UsageError(f"--samples must be >= 1, got {cfg['samples']}")
+    if not 0.0 <= cfg.get("slack-k", 0.0) < math.inf:  # certify sees k only after sampling
+        raise UsageError(f"--slack-k must be finite and >= 0, got {cfg['slack-k']}")
     if scenario == "stein-check":
         if cfg["x-count"] < 1:
             raise UsageError(f"--x-count must be >= 1, got {cfg['x-count']}")
-        if not cfg["x-min"] <= cfg["x-max"]:
-            raise UsageError("--x-min must be <= --x-max")
+        if not 0.0 <= cfg["x-max"] - cfg["x-min"] < math.inf:
+            raise UsageError(f"--x-min and --x-max must be finite and in order, got {cfg['x-min']} and {cfg['x-max']}")
     if scenario == "chaos-compare":
         _parse_alphas(cfg["alphas"])
-        if cfg["tail"] not in ("exact", "markov", "major", "empirical", "unit"):
-            raise UsageError(f"--tail must be one of exact, markov, major, empirical, unit; got {cfg['tail']!r}")
-    if scenario == "bound-only":
-        if cfg["discrepancy"] is None:
-            raise UsageError("--discrepancy is required for bound-only")
-        if cfg["tail"] not in ("exact", "markov", "major", "expfun", "unit"):
-            raise UsageError(f"--tail must be one of exact, markov, major, expfun, unit; got {cfg['tail']!r}")
+    if scenario == "bound-only" and cfg["discrepancy"] is None:
+        raise UsageError("--discrepancy is required for bound-only")
+    needed = {"markov": "markov-moment", "major": "c-q"}.get(cfg.get("tail"))
+    if needed is not None and cfg[needed] is None:
+        raise UsageError(f"--tail {cfg['tail']} requires --{needed}")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:
     try:
-        alphas = tuple(float(part) for part in str(text).split(","))
+        return tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise UsageError(f"--alphas must be a comma-separated list of numbers, got {text!r}") from exc
-    if not alphas:
-        raise UsageError("--alphas must be nonempty")
-    return alphas
 
 
 def _cells(column: np.ndarray) -> list[str]:
@@ -297,61 +273,53 @@ def _run_stein_check(cfg: dict) -> int:
     return 0 if all_ok else 2
 
 
-def _tail_model(cfg: dict, spec=None, ecdf=None) -> bounds.TailModel:
+def _tail_model(cfg: dict) -> bounds.TailModel | None:
+    """The tail model cfg names; None for empirical, which is built from the samples."""
     kind = cfg["tail"]
-    if kind == "unit":
-        return bounds.UnitTail()
     if kind == "exact":
-        if spec is not None and not (spec.q == 2 and len(spec.alphas) == 1):
-            raise UsageError("--tail exact requires the rank-one q=2 chaos (--q 2 --alphas <one value>)")
         return bounds.ExactCdfTail(cdf=chaos.exact_cdf_q2_rank1)
     if kind == "markov":
-        if cfg["markov-moment"] is None:
-            raise UsageError("--tail markov requires --markov-moment")
         return bounds.MarkovTail(p=cfg["markov-p"], moment_p=cfg["markov-moment"])
     if kind == "major":
-        if cfg["c-q"] is None:
-            raise UsageError("--tail major requires --c-q")
-        q = spec.q if spec is not None else cfg["q"]
-        return bounds.MajorChaosTail(q=q, c_q=cfg["c-q"])
-    if kind == "empirical":
-        if ecdf is None:
-            raise UsageError("--tail empirical is only available in chaos-compare")
-        return bounds.EmpiricalTail(sorted_samples=ecdf.sorted_samples)
+        return bounds.MajorChaosTail(q=cfg["q"], c_q=cfg["c-q"])
     if kind == "expfun":
         params = expfun.ExpFunParams(a=cfg["a"], t=cfg["t"])
         return bounds.ExpFunTail(params=params, moments=expfun.moments(params))
-    raise UsageError(f"unknown tail model {kind!r}")
+    return None if kind == "empirical" else bounds.UnitTail()
 
 
-def _compare_rows(report: empirical.CertifyReport, uniform: float) -> np.recarray:
+def _compare(cfg: dict, samples: np.ndarray, bound, summary: dict) -> int:
+    """Certify the ECDF of `samples` against bound(zs, ecdf) on the z grid and
+    write the table with `summary`, whose `violations` slot is filled here."""
+    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
+    ecdf = empirical.build_ecdf(samples)
+    report = empirical.certify(empirical.discrepancy_curve(ecdf, zs), bound(zs, ecdf), k=cfg["slack-k"])
     r = report.rows
     columns = [r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound,
-               np.full(len(r), uniform), r.violated]
-    return np.rec.fromarrays(columns, names="z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound,violated")
+               np.full(len(r), summary["uniform_bound"]), r.violated]
+    summary["violations"] = report.n_violations
+    names = "z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound,violated"
+    _write(cfg, summary, np.rec.fromarrays(columns, names=names))
+    return report.exit_status
 
 
 def _run_chaos_compare(cfg: dict) -> int:
     spec = chaos.normalize(chaos.DiagonalChaosSpec(q=cfg["q"], alphas=_parse_alphas(cfg["alphas"])))
-    samples = chaos.sample_batch(spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    if cfg["tail"] == "exact" and not (spec.q == 2 and len(spec.alphas) == 1):
+        raise UsageError("--tail exact requires the rank-one q=2 chaos (--q 2 --alphas <one value>)")
+    tail = _tail_model(cfg)
     m4 = chaos.fourth_moment(spec)
     d = chaos.stein_discrepancy_upper(m4, spec.q)
-    ecdf = empirical.build_ecdf(samples)
-    tail = _tail_model(cfg, spec=spec, ecdf=ecdf)
-    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=tail)
-    bound_curve = bounds.evaluate_curve(inputs, zs)
-    curve = empirical.discrepancy_curve(ecdf, zs)
-    report = empirical.certify(curve, bound_curve.bounds, k=cfg["slack-k"])
-    summary = {
-        "fourth_moment": m4,
-        "stein_discrepancy": d,
-        "uniform_bound": bounds.uniform_bound(inputs),
-        "violations": report.n_violations,
-        "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK),
-    }
-    _write(cfg, summary, _compare_rows(report, summary["uniform_bound"]))
-    return report.exit_status
+    summary = {"fourth_moment": m4, "stein_discrepancy": d, "uniform_bound": d, "violations": None,
+               "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK)}
+    samples = chaos.sample_batch(spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+
+    def bound(zs, ecdf):
+        model = bounds.EmpiricalTail(sorted_samples=ecdf.sorted_samples) if tail is None else tail
+        inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=model)
+        return bounds.evaluate_curve(inputs, zs).bounds
+
+    return _compare(cfg, samples, bound, summary)
 
 
 def _run_expfun_compare(cfg: dict) -> int:
@@ -359,34 +327,21 @@ def _run_expfun_compare(cfg: dict) -> int:
     n_steps = cfg["n-steps"] if cfg["n-steps"] is not None else expfun.default_n_steps(params.t)
     path_cfg = expfun.PathConfig(n_steps=n_steps)
     m = expfun.moments(params)
+    summary = {"m_t": m.m_t, "sigma2_t": m.sigma2_t, "n_steps": n_steps,
+               "uniform_bound": math.sqrt(expfun.discrepancy_sq_upper(params, m)), "violations": None,
+               "note": "bound targets the exact law; sampled paths carry unquantified discretization bias",
+               "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK)}
     f = expfun.sample_batch(params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"])
     standardized = expfun.standardize(f, m)
-    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    curve = empirical.discrepancy_curve(empirical.build_ecdf(standardized), zs)
-    rate = expfun.clt_rate_bound(params, m, zs)
-    note = "bound targets the exact law; sampled paths carry unquantified discretization bias"
-    report = empirical.certify(curve, rate, k=cfg["slack-k"], note=note)
-    uniform = math.sqrt(expfun.discrepancy_sq_upper(params, m))
-    summary = {
-        "m_t": m.m_t,
-        "sigma2_t": m.sigma2_t,
-        "n_steps": n_steps,
-        "uniform_bound": uniform,
-        "violations": report.n_violations,
-        "note": note,
-        "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK),
-    }
-    _write(cfg, summary, _compare_rows(report, uniform))
-    return report.exit_status
+    return _compare(cfg, standardized, lambda zs, _: expfun.clt_rate_bound(params, m, zs), summary)
 
 
 def _run_bound_only(cfg: dict) -> int:
     tail = _tail_model(cfg)
     inputs = bounds.BoundInputs(mean_abs=cfg["mean-abs"], stein_discrepancy=cfg["discrepancy"], tail=tail)
-    zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    curve = bounds.evaluate_curve(inputs, zs)
+    curve = bounds.evaluate_curve(inputs, np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"]))
     uniform = bounds.uniform_bound(inputs)
-    columns = [curve.z, curve.tail_term, curve.gaussian_term, curve.bounds, np.full(zs.size, uniform)]
+    columns = [curve.z, curve.tail_term, curve.gaussian_term, curve.bounds, np.full(curve.z.size, uniform)]
     rows = np.rec.fromarrays(columns, names="z,tail_term,gaussian_term,bound,uniform_bound")
     _write(cfg, {"uniform_bound": uniform}, rows)
     return 0

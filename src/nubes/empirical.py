@@ -89,17 +89,15 @@ class CertifyReport:
     """
 
     rows: np.recarray
-    slack_k: float
     n_violations: int
     passed: bool
-    note: str = ""
 
     @property
     def exit_status(self) -> int:
         return 0 if self.passed else 2
 
 
-def certify(curve: np.recarray, bounds: Sequence[float], k: float, note: str = "") -> CertifyReport:
+def certify(curve: np.recarray, bounds: Sequence[float], k: float) -> CertifyReport:
     """Flag grid points where discrepancy - k * SE exceeds the bound.
 
     `bounds` holds one bound value per record of `curve`, aligned positionally.
@@ -114,10 +112,4 @@ def certify(curve: np.recarray, bounds: Sequence[float], k: float, note: str = "
     columns = [curve[name] for name in names] + [bounds, violated]
     rows = np.rec.fromarrays(columns, names=[*names, "bound", "violated"])
     n_violations = int(np.count_nonzero(violated))
-    return CertifyReport(
-        rows=rows,
-        slack_k=float(k),
-        n_violations=n_violations,
-        passed=n_violations == 0,
-        note=note,
-    )
+    return CertifyReport(rows=rows, n_violations=n_violations, passed=n_violations == 0)

@@ -39,7 +39,7 @@ def substream(seed: int, index: int) -> np.random.Generator:
 def chunk_counts(total: int, chunk_size: int) -> list[int]:
     """Sizes of the fixed chunk decomposition of `total` items."""
     if total < 1:
-        raise ValueError(f"total must be >= 1, got {total}")
+        raise ValueError(f"the number of samples must be >= 1, got total={total}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     n_chunks = math.ceil(total / chunk_size)
@@ -82,6 +82,8 @@ def map_chunks(fn, args: tuple, seed: int, total: int, chunk_size: int, workers:
     min(workers, chunks, usable CPUs) processes.  The result is identical for
     any `workers` value.
     """
+    if seed < 0:  # numpy would reject it inside the first chunk, maybe in a worker
+        raise ValueError(f"seed must be >= 0, got {seed}")
     jobs = [
         (fn, seed, i, c, args)
         for i, c in enumerate(chunk_counts(total, chunk_size))

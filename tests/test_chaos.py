@@ -103,10 +103,27 @@ class TestVarianceNormalize:
         assert all(abs(a - b) <= 1e-15 for a, b in zip(spec.alphas, twice.alphas))
 
     def test_normalize_rejects_degenerate_variance(self):
-        # q! sum alpha^2 underflows to 0 or overflows to inf
-        for alpha in (1e-200, 1e200):
-            with pytest.raises(ValueError, match="variance must be a positive finite"):
-                chaos.normalize(chaos.DiagonalChaosSpec(2, (alpha,)))
+        # q! is beyond the float range, or q! times the rank overflows to inf
+        for q, rank in ((171, 1), (170, 30)):
+            with pytest.raises(ValueError, match=f"q={q} overflows"):
+                chaos.normalize(chaos.DiagonalChaosSpec(q, (1.0,) * rank))
+
+    @pytest.mark.parametrize("alphas", [(1.0,), (3.0, -4.0), (0.2, -1.7, 0.4, 1e-3)])
+    def test_normalize_scale_invariant(self, alphas):
+        # max|alpha| is divided out first: no scale under- or overflows, and a
+        # power-of-two scale cancels exactly
+        base = chaos.normalize(chaos.DiagonalChaosSpec(3, alphas))
+        for scale in (2.0**-1000, 2.0**-600, 2.0**600, 2.0**1000):
+            assert chaos.normalize(chaos.DiagonalChaosSpec(3, tuple(a * scale for a in alphas))) == base
+        for scale in (1e-200, 1e-160, 1e200):
+            scaled = chaos.normalize(chaos.DiagonalChaosSpec(3, tuple(a * scale for a in alphas)))
+            assert scaled.alphas == pytest.approx(base.alphas, rel=1e-15)
+
+    def test_normalize_max_one_unchanged(self):
+        # with max|alpha| = 1 the arithmetic is q! sum alpha^2 and one division by its root
+        alphas = (1.0, 0.5, 0.25, 0.125)
+        scale = 1.0 / math.sqrt(math.factorial(3) * sum(a * a for a in alphas))
+        assert chaos.normalize(chaos.DiagonalChaosSpec(3, alphas)).alphas == tuple(a * scale for a in alphas)
 
     def test_direction_preserved(self):
         spec = chaos.normalize(chaos.DiagonalChaosSpec(2, (-3.0, 4.0)))

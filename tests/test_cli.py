@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from nubes import cli
+from nubes import chaos, cli
 
 
 def run_cli(args):
@@ -242,12 +242,12 @@ class TestBoundOnlyScenario:
         (["bound-only", "--discrepancy", "1", "--mean-abs", "-0.5"], "mean_abs"),
         (["expfun-compare", "--t", "0", "--samples", "10"], "t must be > 0"),
         (["expfun-compare", "--n-steps", "1", "--samples", "10"], "n_steps"),
-        (["chaos-compare", "--alphas", "1e-200", "--samples", "10"], "variance must be a positive finite"),
-        (["chaos-compare", "--alphas", "1e200", "--samples", "10"], "variance must be a positive finite"),
+        (["chaos-compare", "--q", "80", "--tail", "unit", "--samples", "10"], "q=80"),
+        (["chaos-compare", "--q", "171", "--tail", "unit", "--samples", "10"], "q=171"),
         (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1000"], "a=0.0, t=1000.0"),
         (["expfun-compare", "--t", "100", "--samples", "10", "--n-steps", "10"], "a=0.0, t=100.0"),
     ],
-    ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-variance-underflow", "chaos-variance-overflow",
+    ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
          "expfun-moments-overflow", "expfun-rate-overflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
@@ -278,6 +278,112 @@ def test_sampling_options_only_where_sampling_happens(args, file_cfg, name, tmp_
     assert run_cli(args + ["--output", out]) == 1
     assert name in capsys.readouterr().err
     assert not out.exists()
+
+
+COMPARE_COLUMNS = "z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound,violated"
+
+
+@pytest.mark.parametrize(
+    "args, parameters, columns, summary",
+    [
+        (["stein-check", "--z-count", "2", "--x-count", "3"],
+         "z-min,z-max,z-count,x-min,x-max,x-count",
+         "z,x,f,f_prime,ode_residual,lemma_flags",
+         "all_envelope_checks_ok"),
+        (["chaos-compare", "--samples", "100", "--z-count", "3"],
+         "seed,samples,z-min,z-max,z-count,slack-k,q,alphas,tail,c-q,markov-p,markov-moment",
+         COMPARE_COLUMNS,
+         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling"),
+        (["expfun-compare", "--samples", "100", "--n-steps", "10", "--z-count", "3"],
+         "seed,samples,z-min,z-max,z-count,slack-k,a,t,n-steps",
+         COMPARE_COLUMNS,
+         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling"),
+        (["bound-only", "--discrepancy", "1", "--z-count", "3"],
+         "z-min,z-max,z-count,mean-abs,discrepancy,tail,q,c-q,markov-p,markov-moment,a,t",
+         "z,tail_term,gaussian_term,bound,uniform_bound",
+         "uniform_bound"),
+    ],
+    ids=["stein-check", "chaos-compare", "expfun-compare", "bound-only"],
+)
+def test_output_layout(args, parameters, columns, summary, tmp_path):
+    # JSON keys are emitted in a documented order and CSV shares the JSON columns
+    json_out, csv_out = tmp_path / "o.json", tmp_path / "o.csv"
+    assert run_cli(args + ["--format", "json", "--output", json_out]) in (0, 2)
+    assert run_cli(args + ["--output", csv_out]) in (0, 2)
+    payload = json.loads(json_out.read_text())
+    assert list(payload) == ["scenario", "parameters", "columns", "rows", "summary"]
+    assert ",".join(payload["parameters"]) == parameters
+    assert ",".join(payload["columns"]) == columns
+    assert ",".join(payload["summary"]) == summary
+    assert csv_out.read_text().splitlines()[0] == columns
+
+
+@pytest.mark.parametrize(
+    "args, file_cfg, name",
+    [
+        (["chaos-compare", "--seed", "-1", "--samples", "10"], None, "seed"),
+        (["expfun-compare", "--seed", "-1", "--samples", "10", "--n-steps", "10"], None, "seed"),
+        (["chaos-compare", "--samples", "0"], None, "samples"),
+        (["expfun-compare", "--samples", "0", "--n-steps", "10"], None, "samples"),
+        (["chaos-compare", "--slack-k", "-1", "--samples", "10"], None, "slack-k"),
+        (["stein-check", "--workers", "0"], None, "workers"),
+        (["bound-only", "--discrepancy", "1", "--workers", "0"], None, "workers"),
+        (["stein-check"], {"format": "xml"}, "format"),
+        (["chaos-compare", "--tail", "expfun", "--samples", "10"], None, "tail"),
+        (["bound-only", "--discrepancy", "1", "--tail", "empirical"], None, "tail"),
+        (["chaos-compare", "--slack-k", "nan", "--samples", "10"], None, "slack-k"),
+        (["bound-only", "--discrepancy", "1", "--z-max", "inf"], None, "z-max"),
+        (["chaos-compare", "--z-min=-1e308", "--z-max", "1e308", "--samples", "10"], None, "z-max"),
+        (["stein-check", "--x-max", "inf"], None, "x-max"),
+    ],
+    ids=["chaos-seed", "expfun-seed", "chaos-samples", "expfun-samples", "slack-k", "stein-workers",
+         "bound-workers", "format-key", "chaos-tail-expfun", "bound-tail-empirical", "slack-k-nan",
+         "z-max-inf", "z-span-overflow", "x-max-inf"],
+)
+def test_rejection_names_the_flag(args, file_cfg, name, tmp_path, capsys):
+    if file_cfg is not None:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps(file_cfg))
+        args = args + ["--config", cfg_path]
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nubes: error") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        (["--tail", "markov"], "markov-moment"),
+        (["--tail", "major"], "c-q"),
+        (["--alphas", "1,1"], "rank-one"),
+    ],
+    ids=["markov-moment", "c-q", "exact-rank-one"],
+)
+def test_tail_requirements_checked_before_sampling(args, name, tmp_path, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the tail requirements were checked")
+
+    monkeypatch.setattr(chaos, "sample_batch", no_sampling)
+    out = tmp_path / "x.csv"
+    assert run_cli(["chaos-compare", *args, "--samples", "100", "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nubes: error") and err.count("\n") == 1
+    assert name in err
+    assert not out.exists()
+
+
+def test_chaos_compare_is_scale_invariant(tmp_path):
+    # normalize divides by max|alpha| first, so the scale of the input cancels exactly
+    outputs = []
+    for alpha in ("1e-200", "1", "1e200"):
+        out = tmp_path / f"{alpha}.csv"
+        assert run_cli(["chaos-compare", "--alphas", alpha, "--samples", "2000", "--z-count", "21",
+                        "--output", out]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 class TestDeterminism:

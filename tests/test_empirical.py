@@ -188,11 +188,6 @@ class TestCertify:
         with pytest.raises(ValueError, match="do not match"):
             certify(curve, [1.0] * (len(curve) - 1), k=3.0)
 
-    def test_note_carried(self):
-        curve, grid = self._setup()
-        report = certify(curve, [1.0] * len(curve), k=3.0, note="bias allowance")
-        assert report.note == "bias allowance"
-
     def test_rejects_bad_k(self):
         curve, _ = self._setup()
         with pytest.raises(ValueError):

@@ -7,8 +7,9 @@ chaos      Finite-rank diagonal Wiener chaos: sampling, moments, exact q=2 CDF.
 expfun     Brownian exponential functional: moments, sampling, rate bound.
 bounds     The non-uniform bound engine with pluggable tail models; the chaos
            bound is the engine with the chaos concentration tail.
-empirical  ECDFs, discrepancy curves, DKW bands, certification.
-sampling   Reproducible chunked Philox substreams.
+empirical  ECDFs, per-chunk threshold counts, discrepancy curves, DKW bands,
+           certification.
+sampling   Reproducible chunked Philox substreams, optionally reduced per chunk.
 cli        Scenario runner with bit-stable CSV/JSON output.
 
 Names that are unambiguous across submodules are re-exported here; samplers

@@ -8,7 +8,8 @@ where d is a Stein discrepancy (either the Malliavin inner-product form or
 the Skorokhod-integrand form; the arithmetic is identical and only the
 provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
 exact CDF, Markov, chaos concentration, exponential-functional concentration,
-empirical, or the constant 1.  A tail model is a callable from an array of
+empirical (from the samples or from their counts at thresholds), or the
+constant 1.  A tail model is a callable from an array of
 x >= 0 to an array of tail values; `tail_probability` validates x and clamps
 the values to [0, 1] (clamping only tightens the bound since the modeled
 quantity is a probability).  `evaluate_curve` is one array expression over
@@ -22,8 +23,8 @@ q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
 
 and elsewhere it is smaller.  The constant c_q is required from the caller
 (it is only known to exist, so curves should be read as a parametric family
-in c_q).  The z-independent discrepancy d itself is the uniform baseline the
-non-uniform curves are compared against.
+in c_q).  The z-independent factor |E F| + d itself is the uniform baseline
+the non-uniform curves are compared against.
 
 All evaluation is pure over immutable inputs and elementwise, so a curve may
 be partitioned across its grid arbitrarily with bit-identical results.
@@ -38,6 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import expfun
+from .empirical import ThresholdCounts
 
 __all__ = [
     "TailModel",
@@ -46,6 +48,7 @@ __all__ = [
     "MajorChaosTail",
     "ExactCdfTail",
     "EmpiricalTail",
+    "CountedTail",
     "ExpFunTail",
     "BoundInputs",
     "BoundCurve",
@@ -143,6 +146,19 @@ class EmpiricalTail(TailModel):
 
 
 @dataclass(frozen=True)
+class CountedTail(TailModel):
+    """The plug-in tail of `EmpiricalTail`, 1 - #{-x <= s <= x}/n, read from
+    threshold counts that hold every x and -x it is evaluated at."""
+
+    counts: ThresholdCounts = field(repr=False)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        c = self.counts
+        inside = c.at_most[c.index(x)] - c.below[c.index(-x)]
+        return 1.0 - inside / c.n
+
+
+@dataclass(frozen=True)
 class ExpFunTail(TailModel):
     """Two-sided concentration bound for the standardized exponential functional."""
 
@@ -212,8 +228,8 @@ def nonuniform_bound(inputs: BoundInputs, z: float) -> float:
 
 
 def uniform_bound(inputs: BoundInputs) -> float:
-    """The z-independent baseline: the Stein discrepancy itself (zero-mean setting)."""
-    return inputs.stein_discrepancy
+    """The z-independent baseline |E F| + d, the factor the non-uniform bound refines."""
+    return inputs.mean_abs + inputs.stein_discrepancy
 
 
 def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:

@@ -144,9 +144,14 @@ def sample_batch(
     seed: int,
     workers: int = 1,
     chunk_size: int = SAMPLE_CHUNK,
+    reduce=None,
 ) -> np.ndarray:
-    """n realizations on the fixed substream layout (worker-count invariant)."""
-    return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, chunk_size, workers)
+    """n realizations on the fixed substream layout (worker-count invariant).
+
+    With `reduce`, the sum of reduce(chunk) over the chunks instead (see
+    `sampling.map_chunks`).
+    """
+    return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, chunk_size, workers, reduce)
 
 
 def fourth_moment(spec: DiagonalChaosSpec) -> float:

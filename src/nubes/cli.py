@@ -34,14 +34,21 @@ row, comma separators, and LF line endings.  JSON uses the documented
 insertion order and omits file paths so output is byte-comparable across
 locations.
 
+Memory: chaos-compare and expfun-compare never hold the sample array.  Each
+chunk's job reduces its samples to integer counts at the z grid and at
++-|z|/2, the only points where the ECDF and the empirical tail are read,
+and the run sums those counts; memory is O(chunk) whatever --samples is.
+
 Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import re
 import sys
 from typing import Sequence
 
@@ -57,6 +64,13 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a value such as -1e3 or -1e-3,1 is a number, not an option (argparse
+        # on Python 3.10 and 3.11 takes only -1 and -1.5 as negative numbers);
+        # subparsers are built by this class too
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?(,|$)")
+
     # argparse exits 2 on usage errors; 2 is reserved for certification failures
     def error(self, message):
         self.exit(1, f"{self.prog}: error: {message}\n")
@@ -288,12 +302,17 @@ def _tail_model(cfg: dict) -> bounds.TailModel | None:
     return None if kind == "empirical" else bounds.UnitTail()
 
 
-def _compare(cfg: dict, samples: np.ndarray, bound, summary: dict) -> int:
-    """Certify the ECDF of `samples` against bound(zs, ecdf) on the z grid and
-    write the table with `summary`, whose `violations` slot is filled here."""
+def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
+    """Certify the samples of sample_batch(reduce=...) against bound(zs, counts)
+    on the z grid and write the table with `summary`, whose `violations` slot
+    is filled here.  Each chunk is passed through `transform` and reduced to
+    its counts at the z grid and at +-|z|/2 inside its own job."""
     zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    ecdf = empirical.build_ecdf(samples)
-    report = empirical.certify(empirical.discrepancy_curve(ecdf, zs), bound(zs, ecdf), k=cfg["slack-k"])
+    half = np.abs(zs) / 2.0  # where the bound reads the tail
+    thresholds = np.unique(np.concatenate([zs, half, -half]))
+    reduce = functools.partial(empirical.count_chunk, thresholds=thresholds, transform=transform)
+    counts = empirical.ThresholdCounts(thresholds, *sample_batch(reduce=reduce), n=cfg["samples"])
+    report = empirical.certify(empirical.discrepancy_curve(counts, zs), bound(zs, counts), k=cfg["slack-k"])
     r = report.rows
     columns = [r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound,
                np.full(len(r), summary["uniform_bound"]), r.violated]
@@ -312,14 +331,14 @@ def _run_chaos_compare(cfg: dict) -> int:
     d = chaos.stein_discrepancy_upper(m4, spec.q)
     summary = {"fourth_moment": m4, "stein_discrepancy": d, "uniform_bound": d, "violations": None,
                "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK)}
-    samples = chaos.sample_batch(spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
+    sample_batch = functools.partial(chaos.sample_batch, spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
 
-    def bound(zs, ecdf):
-        model = bounds.EmpiricalTail(sorted_samples=ecdf.sorted_samples) if tail is None else tail
+    def bound(zs, counts):
+        model = bounds.CountedTail(counts) if tail is None else tail
         inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=model)
         return bounds.evaluate_curve(inputs, zs).bounds
 
-    return _compare(cfg, samples, bound, summary)
+    return _compare(cfg, sample_batch, None, bound, summary)
 
 
 def _run_expfun_compare(cfg: dict) -> int:
@@ -331,9 +350,11 @@ def _run_expfun_compare(cfg: dict) -> int:
                "uniform_bound": math.sqrt(expfun.discrepancy_sq_upper(params, m)), "violations": None,
                "note": "bound targets the exact law; sampled paths carry unquantified discretization bias",
                "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK)}
-    f = expfun.sample_batch(params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-    standardized = expfun.standardize(f, m)
-    return _compare(cfg, standardized, lambda zs, _: expfun.clt_rate_bound(params, m, zs), summary)
+    sample_batch = functools.partial(
+        expfun.sample_batch, params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"]
+    )
+    standardize = functools.partial(expfun.standardize, m=m)
+    return _compare(cfg, sample_batch, standardize, lambda zs, _: expfun.clt_rate_bound(params, m, zs), summary)
 
 
 def _run_bound_only(cfg: dict) -> int:

@@ -7,6 +7,14 @@ k standard errors (the bounds are statements about true probabilities, so the
 test must budget estimation noise).  The DKW band gives the uniform
 alternative to the pointwise slack.
 
+A run that only needs P_hat(F <= z) and P_hat(|F| > |z|/2) at grid points
+need not keep its samples: `count_chunk` reduces each sampling chunk, inside
+its own job, to the integer counts #{s <= t} and #{s < t} at one sorted
+threshold array, and the summed counts make a `ThresholdCounts` record that
+`discrepancy_curve` reads like an ECDF.  Sums of counts are exact in any
+order, so the values equal those of the ECDF of all samples, and memory is
+O(chunk) whatever the number of samples.
+
 Curves and certification reports are numpy record arrays with one record per
 grid point: `r.discrepancy` reads one point's field and `curve.discrepancy`
 the whole column.  `certify` takes the bound values as one array aligned with
@@ -17,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -25,8 +33,10 @@ from .gaussian import normal_cdf
 
 __all__ = [
     "EmpiricalCdf",
+    "ThresholdCounts",
     "CertifyReport",
     "build_ecdf",
+    "count_chunk",
     "discrepancy_curve",
     "dkw_epsilon",
     "certify",
@@ -56,9 +66,51 @@ def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
     return EmpiricalCdf(sorted_samples=np.sort(arr), n=int(arr.size))
 
 
-def discrepancy_curve(ecdf: EmpiricalCdf, grid: Sequence[float]) -> np.recarray:
+def count_chunk(samples: np.ndarray, thresholds: np.ndarray, transform: Callable | None = None) -> np.ndarray:
+    """Rows #{s <= t} and #{s < t} at each threshold t, for one chunk.
+
+    `transform` (elementwise, e.g. a standardization) is applied first; the
+    samples are then checked finite and sorted, in place when there is no
+    transform.  Passed to `sampling.map_chunks` as `reduce` (bound to its
+    thresholds with functools.partial), it runs inside each chunk's job.
+    """
+    s = samples if transform is None else transform(samples)
+    if not np.all(np.isfinite(s)):
+        raise ValueError("samples must be finite")
+    s.sort()
+    return np.stack([np.searchsorted(s, thresholds, side="right"), np.searchsorted(s, thresholds, side="left")])
+
+
+@dataclass(frozen=True)
+class ThresholdCounts:
+    """Counts of n samples at sorted thresholds t_i: at_most[i] = #{s <= t_i}
+    and below[i] = #{s < t_i}.  Values are known only at the thresholds."""
+
+    thresholds: np.ndarray
+    at_most: np.ndarray
+    below: np.ndarray
+    n: int
+
+    def index(self, t) -> np.ndarray:
+        """Positions of the values t among the thresholds; raises if one is not there."""
+        t = np.asarray(t, dtype=float)
+        i = np.minimum(np.searchsorted(self.thresholds, t), self.thresholds.size - 1)
+        if not np.array_equal(self.thresholds[i], t):
+            raise ValueError("counts are known only at their thresholds")
+        return i
+
+    def evaluate(self, z):
+        """P_hat(F <= z) as an exact count over n at thresholds z, as EmpiricalCdf.evaluate."""
+        out = self.at_most[self.index(z)] / self.n
+        return float(out) if np.ndim(z) == 0 else out
+
+
+def discrepancy_curve(ecdf: EmpiricalCdf | ThresholdCounts, grid: Sequence[float]) -> np.recarray:
     """|P_hat(F <= z) - Phi(z)| with binomial standard errors, one record per
-    grid point: z, empirical_cdf, normal_cdf, discrepancy, standard_error."""
+    grid point: z, empirical_cdf, normal_cdf, discrepancy, standard_error.
+
+    `ecdf` is anything with `evaluate(z)` and `n`; ThresholdCounts must hold
+    every grid point among its thresholds."""
     zs = np.atleast_1d(np.asarray(grid, dtype=float))
     if zs.size == 0 or not np.all(np.isfinite(zs)):
         raise ValueError("grid must be nonempty and finite")

@@ -209,10 +209,15 @@ def sample_batch(
     seed: int,
     workers: int = 1,
     chunk_size: int = PATH_CHUNK,
+    reduce=None,
 ) -> np.ndarray:
-    """n_paths realizations on the fixed substream layout (worker-count invariant)."""
+    """n_paths realizations on the fixed substream layout (worker-count invariant).
+
+    With `reduce`, the sum of reduce(chunk) over the chunks instead (see
+    `sampling.map_chunks`).
+    """
     return map_chunks(
-        _path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, chunk_size, workers
+        _path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, chunk_size, workers, reduce
     )
 
 

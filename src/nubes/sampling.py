@@ -11,6 +11,11 @@ Inside a chunk, the samplers draw and reduce block_rows(width) rows at a
 time from the chunk's one generator, in row order, so the draws and every
 row's arithmetic are those of the whole chunk; a block of BLOCK_NORMALS
 normals stays in a core's cache.
+
+A run may reduce each chunk inside its own job (`map_chunks(..., reduce=)`):
+the job then returns an integer array instead of the samples and the run
+returns the sum of those arrays, which is exact in any order, so no process
+ever holds more than one chunk of samples.
 """
 
 from __future__ import annotations
@@ -70,22 +75,28 @@ def _usable_cpus() -> int:
 
 
 def _run_chunk(job):
-    fn, seed, index, count, args = job
-    return fn(substream(seed, index), count, *args)
+    fn, seed, index, count, args, reduce = job
+    samples = fn(substream(seed, index), count, *args)
+    return samples if reduce is None else reduce(samples)
 
 
-def map_chunks(fn, args: tuple, seed: int, total: int, chunk_size: int, workers: int = 1) -> np.ndarray:
+def map_chunks(
+    fn, args: tuple, seed: int, total: int, chunk_size: int, workers: int = 1, reduce=None
+) -> np.ndarray:
     """Concatenate fn(rng_i, count_i, *args) over the fixed chunk layout.
 
     `fn` must be a module-level function (it is pickled by reference when
-    workers > 1) returning a 1-d array of length count_i.  The pool starts
+    workers > 1) returning a 1-d array of length count_i.  With `reduce`, a
+    picklable callable, each chunk's job returns reduce(samples), an integer
+    array of the same shape for every chunk (it may overwrite the samples),
+    and the result is the sum of those arrays.  The pool starts
     min(workers, chunks, usable CPUs) processes.  The result is identical for
     any `workers` value.
     """
     if seed < 0:  # numpy would reject it inside the first chunk, maybe in a worker
         raise ValueError(f"seed must be >= 0, got {seed}")
     jobs = [
-        (fn, seed, i, c, args)
+        (fn, seed, i, c, args, reduce)
         for i, c in enumerate(chunk_counts(total, chunk_size))
     ]
     if workers <= 1 or len(jobs) == 1:
@@ -94,4 +105,4 @@ def map_chunks(fn, args: tuple, seed: int, total: int, chunk_size: int, workers:
         # the fork pool starts all max_workers processes at once
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as ex:
             parts = list(ex.map(_run_chunk, jobs, chunksize=1))
-    return np.concatenate(parts)
+    return np.concatenate(parts) if reduce is None else np.sum(parts, axis=0)

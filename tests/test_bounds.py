@@ -227,8 +227,15 @@ class TestChaosBound:
 
 class TestUniformBound:
     def test_identity(self):
-        assert bounds.uniform_bound(BoundInputs(0.7, SQRT2, UnitTail())) == SQRT2
+        # zero mean: the baseline is the discrepancy itself
+        assert bounds.uniform_bound(BoundInputs(0.0, SQRT2, UnitTail())) == SQRT2
         assert bounds.uniform_bound(BoundInputs(0.0, 0.0, UnitTail())) == 0.0
+
+    def test_adds_mean_abs(self):
+        # the baseline is the factor |E F| + d of every bound value
+        inputs = BoundInputs(0.7, SQRT2, UnitTail())
+        assert bounds.uniform_bound(inputs) == 0.7 + SQRT2
+        assert bounds.nonuniform_bound(inputs, 0.0) == bounds.uniform_bound(inputs) * 3.0
 
     def test_equals_chaos_first_factor(self):
         d = chaos.stein_discrepancy_upper(15.0, 2)

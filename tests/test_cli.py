@@ -1,10 +1,14 @@
 import json
+import math
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nubes import chaos, cli
+import nubes
+from nubes import bounds, chaos, cli, empirical, expfun, sampling
 
 
 def run_cli(args):
@@ -223,6 +227,14 @@ class TestBoundOnlyScenario:
         assert lines[0] == "z,tail_term,gaussian_term,bound,uniform_bound"
         assert len(lines) == 12
 
+    def test_uniform_bound_adds_mean_abs(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert run_cli(["bound-only", "--discrepancy", "1.1", "--mean-abs", "0.2", "--z-count", "5",
+                        "--format", "json", "--output", out]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["summary"]["uniform_bound"] == 0.2 + 1.1
+        assert {row[-1] for row in payload["rows"]} == {0.2 + 1.1}
+
     def test_requires_discrepancy(self):
         assert run_cli(["bound-only", "--output", "x.csv"]) == 1
 
@@ -302,8 +314,22 @@ COMPARE_COLUMNS = "z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound
          "z-min,z-max,z-count,mean-abs,discrepancy,tail,q,c-q,markov-p,markov-moment,a,t",
          "z,tail_term,gaussian_term,bound,uniform_bound",
          "uniform_bound"),
+        # negative values in exponent notation are values, not options
+        (["bound-only", "--discrepancy", "1", "--z-min", "-1e3", "--z-count", "3"],
+         "z-min,z-max,z-count,mean-abs,discrepancy,tail,q,c-q,markov-p,markov-moment,a,t",
+         "z,tail_term,gaussian_term,bound,uniform_bound",
+         "uniform_bound"),
+        (["chaos-compare", "--alphas", "-1e-3,1", "--tail", "unit", "--samples", "100", "--z-count", "3"],
+         "seed,samples,z-min,z-max,z-count,slack-k,q,alphas,tail,c-q,markov-p,markov-moment",
+         COMPARE_COLUMNS,
+         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling"),
+        (["expfun-compare", "--a", "-1e-3", "--samples", "100", "--n-steps", "10", "--z-count", "3"],
+         "seed,samples,z-min,z-max,z-count,slack-k,a,t,n-steps",
+         COMPARE_COLUMNS,
+         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling"),
     ],
-    ids=["stein-check", "chaos-compare", "expfun-compare", "bound-only"],
+    ids=["stein-check", "chaos-compare", "expfun-compare", "bound-only",
+         "bound-only-z-min-exponent", "chaos-compare-alphas-exponent", "expfun-compare-a-exponent"],
 )
 def test_output_layout(args, parameters, columns, summary, tmp_path):
     # JSON keys are emitted in a documented order and CSV shares the JSON columns
@@ -366,7 +392,10 @@ def test_tail_requirements_checked_before_sampling(args, name, tmp_path, capsys,
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampled before the tail requirements were checked")
 
-    monkeypatch.setattr(chaos, "sample_batch", no_sampling)
+    # every chunk of every sampler runs as this job, whatever the CLI reduces it to
+    monkeypatch.setattr(sampling, "_run_chunk", no_sampling)
+    with pytest.raises(AssertionError, match="sampled"):  # the patch is on the sampling path
+        run_cli(["chaos-compare", "--samples", "100", "--output", tmp_path / "control.csv"])
     out = tmp_path / "x.csv"
     assert run_cli(["chaos-compare", *args, "--samples", "100", "--output", out]) == 1
     err = capsys.readouterr().err
@@ -384,6 +413,79 @@ def test_chaos_compare_is_scale_invariant(tmp_path):
                         "--output", out]) == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _nan_chunk(rng, count, q, alphas):
+    return np.full(count, np.nan)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_non_finite_sample_rejected(workers, tmp_path, capsys, monkeypatch):
+    # the chunk job checks its samples before it counts them, in a pool worker too
+    monkeypatch.setattr(chaos, "_sample_chunk", _nan_chunk)
+    out = tmp_path / "x.csv"
+    assert run_cli(["chaos-compare", "--samples", "300000", "--workers", workers, "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err == "nubes: error in scenario chaos-compare: samples must be finite\n"
+    assert not out.exists()
+
+
+def _in_memory_rows(zs, samples, bound, uniform):
+    # the library route over the whole sample array: ECDF, discrepancy, certify
+    ecdf = empirical.build_ecdf(samples)
+    r = empirical.certify(empirical.discrepancy_curve(ecdf, zs), bound, k=3.0).rows
+    columns = [r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound,
+               np.full(len(r), uniform), r.violated]
+    return [list(row) for row in zip(*(c.tolist() for c in columns))]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_streamed_chaos_rows_equal_in_memory_rows(workers, tmp_path):
+    out = tmp_path / "c.json"
+    args = ["chaos-compare", "--q", "3", "--alphas", "1,0.5", "--tail", "empirical", "--samples", "300000",
+            "--seed", "4", "--z-count", "41", "--format", "json", "--workers", workers, "--output", out]
+    assert run_cli(args) == 0
+    spec = chaos.normalize(chaos.DiagonalChaosSpec(q=3, alphas=(1.0, 0.5)))
+    samples = chaos.sample_batch(spec, 300_000, seed=4)
+    d = chaos.stein_discrepancy_upper(chaos.fourth_moment(spec), 3)
+    zs = np.linspace(-8.0, 8.0, 41)
+    inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=bounds.EmpiricalTail.from_samples(samples))
+    expected = _in_memory_rows(zs, samples, bounds.evaluate_curve(inputs, zs).bounds, d)
+    assert json.loads(out.read_text())["rows"] == expected
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_streamed_expfun_rows_equal_in_memory_rows(workers, tmp_path):
+    out = tmp_path / "e.json"
+    args = ["expfun-compare", "--a", "-1", "--t", "1", "--samples", "5000", "--n-steps", "20", "--seed", "6",
+            "--z-count", "41", "--format", "json", "--workers", workers, "--output", out]
+    assert run_cli(args) == 0
+    params = expfun.ExpFunParams(a=-1.0, t=1.0)
+    m = expfun.moments(params)
+    f = expfun.sample_batch(params, expfun.PathConfig(n_steps=20), 5000, seed=6)
+    zs = np.linspace(-5.0, 5.0, 41)
+    uniform = math.sqrt(expfun.discrepancy_sq_upper(params, m))
+    expected = _in_memory_rows(zs, expfun.standardize(f, m), expfun.clt_rate_bound(params, m, zs), uniform)
+    assert json.loads(out.read_text())["rows"] == expected
+
+
+def _peak_rss_kib(samples: int) -> int:
+    code = ("import resource, sys\n"
+            "from nubes import cli\n"
+            f"assert cli.main(['chaos-compare', '--samples', '{samples}', '--output', {os.devnull!r}]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    src = os.path.dirname(os.path.dirname(nubes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return int(proc.stdout)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_memory_does_not_grow_with_samples():
+    # chunks are reduced to counts in their own jobs; holding 4e6 samples
+    # (plus a sorted copy) would add about 64 MiB
+    growth_kib = _peak_rss_kib(4_000_000) - _peak_rss_kib(100_000)
+    assert growth_kib < 16 * 1024
 
 
 class TestDeterminism:

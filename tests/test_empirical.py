@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import bounds, chaos, empirical
-from nubes.bounds import BoundInputs, EmpiricalTail, UnitTail
-from nubes.empirical import build_ecdf, certify, discrepancy_curve, dkw_epsilon
+from nubes.bounds import BoundInputs, CountedTail, EmpiricalTail, UnitTail
+from nubes.empirical import ThresholdCounts, build_ecdf, certify, count_chunk, discrepancy_curve, dkw_epsilon
 from nubes.gaussian import normal_cdf
 
 DKW_20000_001 = 0.011509037065006824  # sqrt(ln(200)/40000)
@@ -234,6 +234,69 @@ class TestColumnarEqualsScalar:
             assert np.array_equal(report.rows[name], curve[name])
         assert report.n_violations == sum(report.rows.violated.tolist())
         assert report.passed == (report.n_violations == 0)
+
+
+def _thresholds(grid):
+    # the points the CLI counts at: the grid and the tail arguments +-|z|/2
+    half = np.abs(grid) / 2.0
+    return np.unique(np.concatenate([grid, half, -half]))
+
+
+def _streamed(samples, thresholds, cuts):
+    # counts summed over the chunks the samples are cut into at `cuts`
+    sums = sum(count_chunk(chunk.copy(), thresholds) for chunk in np.split(samples, cuts))
+    return ThresholdCounts(thresholds, *sums, n=samples.size)
+
+
+@st.composite
+def _streaming_cases(draw):
+    grid = np.array(draw(st.lists(st.floats(-8.0, 8.0) | st.sampled_from([0.0, -0.0, 1.0, -2.5]),
+                                  min_size=1, max_size=20)))
+    # samples tie with each other and sit exactly on thresholds, at +-0 too
+    on_points = st.sampled_from([0.0, -0.0, *_thresholds(grid).tolist()])
+    samples = np.array(draw(st.lists(st.floats(-5.0, 5.0) | on_points, min_size=1, max_size=60)))
+    cuts = sorted(draw(st.lists(st.integers(0, samples.size), max_size=6)))
+    return grid, samples, cuts
+
+
+class TestStreamedCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(_streaming_cases())
+    def test_equal_in_memory_ecdf_and_tail(self, case):
+        grid, samples, cuts = case
+        counts = _streamed(samples, _thresholds(grid), cuts)
+        ecdf = build_ecdf(samples)
+        assert np.array_equal(counts.evaluate(grid), ecdf.evaluate(grid))
+        x = np.abs(grid) / 2.0
+        streamed_tail = bounds.tail_probability(CountedTail(counts), x)
+        assert np.array_equal(streamed_tail, bounds.tail_probability(EmpiricalTail.from_samples(samples), x))
+        streamed, in_memory = discrepancy_curve(counts, grid), discrepancy_curve(ecdf, grid)
+        for name in in_memory.dtype.names:
+            assert np.array_equal(streamed[name], in_memory[name])
+
+    def test_scalar_evaluate(self):
+        counts = _streamed(np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0]), [1])
+        assert counts.evaluate(2.0) == 1.0 and counts.evaluate(1.0) == 1.0 / 3.0
+        assert isinstance(counts.evaluate(1.0), float)
+
+    def test_known_only_at_thresholds(self):
+        counts = _streamed(np.array([1.0, 2.0]), np.array([-1.0, 1.0]), [])
+        for z in (0.5, 3.0, -2.0, math.nan):
+            with pytest.raises(ValueError, match="thresholds"):
+                counts.evaluate(z)
+        with pytest.raises(ValueError, match="thresholds"):
+            discrepancy_curve(counts, [1.0, 1.5])
+
+    def test_count_chunk_transforms_first(self):
+        sums = count_chunk(np.array([3.0, 5.0, 1.0]), np.array([0.0, 1.0]), transform=lambda s: (s - 3.0) / 2.0)
+        assert sums.tolist() == [[2, 3], [1, 2]]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_count_chunk_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="samples must be finite"):
+            count_chunk(np.array([0.0, bad]), np.array([0.0]))
+        with pytest.raises(ValueError, match="samples must be finite"):
+            count_chunk(np.array([0.0, 1.0]), np.array([0.0]), transform=lambda s: s + bad)
 
 
 def test_glivenko_cantelli_coverage():

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nubes import chaos, expfun, sampling
+from nubes import chaos, empirical, expfun, sampling
 from nubes.sampling import BLOCK_NORMALS, block_rows, chunk_counts, layout, map_chunks, substream
 
 
@@ -48,6 +49,30 @@ class TestSubstream:
 
 def _draw(rng, count, scale):
     return scale * rng.standard_normal(count)
+
+
+def _draw_with_nan(rng, count):
+    out = rng.standard_normal(count)
+    out[count // 2] = np.nan
+    return out
+
+
+class TestReduce:
+    THRESHOLDS = np.linspace(-2.0, 2.0, 9)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sums_the_chunk_reductions(self, workers):
+        reduce = functools.partial(empirical.count_chunk, thresholds=self.THRESHOLDS)
+        whole = map_chunks(_draw, (1.0,), seed=5, total=5000, chunk_size=256, workers=1)
+        got = map_chunks(_draw, (1.0,), 5, 5000, 256, workers, reduce=reduce)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, empirical.count_chunk(whole, self.THRESHOLDS))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_sample_raises_from_the_chunk_job(self, workers):
+        reduce = functools.partial(empirical.count_chunk, thresholds=self.THRESHOLDS)
+        with pytest.raises(ValueError, match="samples must be finite"):
+            map_chunks(_draw_with_nan, (), 5, 1000, 256, workers, reduce=reduce)
 
 
 class TestMapChunks:

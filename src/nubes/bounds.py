@@ -8,9 +8,9 @@ where d is a Stein discrepancy (either the Malliavin inner-product form or
 the Skorokhod-integrand form; the arithmetic is identical and only the
 provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
 exact CDF, Markov, chaos concentration, exponential-functional concentration,
-empirical (from the samples or from their counts at thresholds), or the
-constant 1.  A tail model is a callable from an array of
-x >= 0 to an array of tail values; `tail_probability` validates x and clamps
+empirical (the plug-in tail of either ECDF, sorted samples or streamed counts
+at thresholds), or the constant 1.  A tail model is a callable from an array
+of x >= 0 to an array of tail values; `tail_probability` validates x and clamps
 the values to [0, 1] (clamping only tightens the bound since the modeled
 quantity is a probability).  `evaluate_curve` is one array expression over
 the whole grid and returns the columnar `BoundCurve`.
@@ -38,8 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import expfun
-from .empirical import ThresholdCounts
+from . import empirical, expfun
 
 __all__ = [
     "TailModel",
@@ -48,7 +47,6 @@ __all__ = [
     "MajorChaosTail",
     "ExactCdfTail",
     "EmpiricalTail",
-    "CountedTail",
     "ExpFunTail",
     "BoundInputs",
     "BoundCurve",
@@ -89,9 +87,10 @@ class MarkovTail(TailModel):
             raise ValueError(f"moment_p must be >= 0, got {self.moment_p}")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        # the trivial bound 1 where x^p is 0: at x = 0, and where it underflows
-        xp = x**self.p
-        with np.errstate(over="ignore"):  # overflow gives inf, clamped to 1
+        # the trivial bound 1 where x^p is 0: at x = 0, and where it underflows;
+        # an overflowed x^p gives 0, an overflowed moment/x^p inf (clamped to 1)
+        with np.errstate(over="ignore"):
+            xp = x**self.p
             return np.divide(self.moment_p, xp, out=np.ones_like(xp), where=xp > 0.0)
 
 
@@ -124,38 +123,22 @@ class ExactCdfTail(TailModel):
 
 @dataclass(frozen=True)
 class EmpiricalTail(TailModel):
-    """Plug-in tail #{|sample| > x}/n from the samples sorted ascending.
+    """Plug-in tail 1 - #{-x <= s <= x}/n of an ECDF.
 
-    `EmpiricalCdf.sorted_samples` can be passed as is; `from_samples` sorts
-    and validates an unsorted sample set.
+    The ECDF is an `empirical.EmpiricalCdf`, or an `empirical.ThresholdCounts`
+    that holds every x and -x the tail is evaluated at; `from_samples` builds
+    the first from an unsorted sample set.
     """
 
-    sorted_samples: np.ndarray = field(repr=False)
+    ecdf: empirical.EcdfCounts = field(repr=False)
 
     @classmethod
     def from_samples(cls, samples) -> "EmpiricalTail":
-        arr = np.asarray(samples, dtype=float)
-        if arr.size == 0 or not np.all(np.isfinite(arr)):
-            raise ValueError("samples must be nonempty and finite")
-        return cls(sorted_samples=np.sort(arr))
+        return cls(empirical.build_ecdf(samples))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        s = self.sorted_samples
-        inside = np.searchsorted(s, x, side="right") - np.searchsorted(s, -x, side="left")
-        return 1.0 - inside / s.size
-
-
-@dataclass(frozen=True)
-class CountedTail(TailModel):
-    """The plug-in tail of `EmpiricalTail`, 1 - #{-x <= s <= x}/n, read from
-    threshold counts that hold every x and -x it is evaluated at."""
-
-    counts: ThresholdCounts = field(repr=False)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        c = self.counts
-        inside = c.at_most[c.index(x)] - c.below[c.index(-x)]
-        return 1.0 - inside / c.n
+        inside = self.ecdf.at_most(x) - self.ecdf.below(-x)
+        return 1.0 - inside / self.ecdf.n
 
 
 @dataclass(frozen=True)

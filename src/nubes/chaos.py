@@ -138,20 +138,14 @@ def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -
     return out
 
 
-def sample_batch(
-    spec: DiagonalChaosSpec,
-    n: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = SAMPLE_CHUNK,
-    reduce=None,
-) -> np.ndarray:
-    """n realizations on the fixed substream layout (worker-count invariant).
+def sample_batch(spec: DiagonalChaosSpec, n: int, seed: int, workers: int = 1, reduce=None) -> np.ndarray:
+    """n realizations on the fixed substream layout of SAMPLE_CHUNK samples
+    per chunk (worker-count invariant).
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
-    return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, chunk_size, workers, reduce)
+    return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, SAMPLE_CHUNK, workers, reduce)
 
 
 def fourth_moment(spec: DiagonalChaosSpec) -> float:

@@ -288,7 +288,7 @@ def _run_stein_check(cfg: dict) -> int:
 
 
 def _tail_model(cfg: dict) -> bounds.TailModel | None:
-    """The tail model cfg names; None for empirical, which is built from the samples."""
+    """The tail model cfg names; None for empirical, which is built from the run's counts."""
     kind = cfg["tail"]
     if kind == "exact":
         return bounds.ExactCdfTail(cdf=chaos.exact_cdf_q2_rank1)
@@ -311,7 +311,7 @@ def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
     half = np.abs(zs) / 2.0  # where the bound reads the tail
     thresholds = np.unique(np.concatenate([zs, half, -half]))
     reduce = functools.partial(empirical.count_chunk, thresholds=thresholds, transform=transform)
-    counts = empirical.ThresholdCounts(thresholds, *sample_batch(reduce=reduce), n=cfg["samples"])
+    counts = empirical.ThresholdCounts(thresholds, sample_batch(reduce=reduce), n=cfg["samples"])
     report = empirical.certify(empirical.discrepancy_curve(counts, zs), bound(zs, counts), k=cfg["slack-k"])
     r = report.rows
     columns = [r.z, r.empirical_cdf, r.normal_cdf, r.discrepancy, r.standard_error, r.bound,
@@ -334,7 +334,7 @@ def _run_chaos_compare(cfg: dict) -> int:
     sample_batch = functools.partial(chaos.sample_batch, spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
 
     def bound(zs, counts):
-        model = bounds.CountedTail(counts) if tail is None else tail
+        model = bounds.EmpiricalTail(counts) if tail is None else tail
         inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=model)
         return bounds.evaluate_curve(inputs, zs).bounds
 

@@ -7,13 +7,15 @@ k standard errors (the bounds are statements about true probabilities, so the
 test must budget estimation noise).  The DKW band gives the uniform
 alternative to the pointwise slack.
 
-A run that only needs P_hat(F <= z) and P_hat(|F| > |z|/2) at grid points
-need not keep its samples: `count_chunk` reduces each sampling chunk, inside
-its own job, to the integer counts #{s <= t} and #{s < t} at one sorted
-threshold array, and the summed counts make a `ThresholdCounts` record that
-`discrepancy_curve` reads like an ECDF.  Sums of counts are exact in any
-order, so the values equal those of the ECDF of all samples, and memory is
-O(chunk) whatever the number of samples.
+An ECDF is read through two counts, #{s <= t} and #{s < t} (`EcdfCounts`):
+`evaluate` and the plug-in tail `bounds.EmpiricalTail` are written once over
+them.  `EmpiricalCdf` answers them from the sorted samples at any t.  A run
+that only needs P_hat(F <= z) and P_hat(|F| > |z|/2) at grid points need not
+keep its samples: `count_chunk` reduces each sampling chunk, inside its own
+job, to both counts at one sorted threshold array, and the summed counts make
+a `ThresholdCounts`, which answers them at its thresholds only.  Sums of
+counts are exact in any order, so the values equal those of the ECDF of all
+samples, and memory is O(chunk) whatever the number of samples.
 
 Curves and certification reports are numpy record arrays with one record per
 grid point: `r.discrepancy` reads one point's field and `curve.discrepancy`
@@ -32,6 +34,7 @@ import numpy as np
 from .gaussian import normal_cdf
 
 __all__ = [
+    "EcdfCounts",
     "EmpiricalCdf",
     "ThresholdCounts",
     "CertifyReport",
@@ -43,18 +46,36 @@ __all__ = [
 ]
 
 
+class EcdfCounts:
+    """An ECDF of n samples read through its counts at_most(t) = #{s <= t} and
+    below(t) = #{s < t}, both vectorized over t."""
+
+    n: int
+
+    def at_most(self, t) -> np.ndarray:
+        raise NotImplementedError
+
+    def below(self, t) -> np.ndarray:
+        raise NotImplementedError
+
+    def evaluate(self, z):
+        """P_hat(F <= z) as an exact count over n; vectorized over z."""
+        out = self.at_most(z) / self.n
+        return float(out) if np.ndim(z) == 0 else out
+
+
 @dataclass(frozen=True)
-class EmpiricalCdf:
-    """Sorted samples with count; evaluation counts samples <= z (inclusive)."""
+class EmpiricalCdf(EcdfCounts):
+    """Sorted samples with count; the counts are known at every t."""
 
     sorted_samples: np.ndarray
     n: int
 
-    def evaluate(self, z):
-        """P_hat(F <= z) as an exact count over n; vectorized over z."""
-        counts = np.searchsorted(self.sorted_samples, z, side="right")
-        out = counts / self.n
-        return float(out) if np.ndim(z) == 0 else out
+    def at_most(self, t) -> np.ndarray:
+        return np.searchsorted(self.sorted_samples, t, side="right")
+
+    def below(self, t) -> np.ndarray:
+        return np.searchsorted(self.sorted_samples, t, side="left")
 
 
 def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
@@ -82,16 +103,16 @@ def count_chunk(samples: np.ndarray, thresholds: np.ndarray, transform: Callable
 
 
 @dataclass(frozen=True)
-class ThresholdCounts:
-    """Counts of n samples at sorted thresholds t_i: at_most[i] = #{s <= t_i}
-    and below[i] = #{s < t_i}.  Values are known only at the thresholds."""
+class ThresholdCounts(EcdfCounts):
+    """Counts of n samples at sorted thresholds t_i, as `count_chunk` returns
+    them summed: counts[0, i] = #{s <= t_i} and counts[1, i] = #{s < t_i}.
+    They are known only at the thresholds."""
 
     thresholds: np.ndarray
-    at_most: np.ndarray
-    below: np.ndarray
+    counts: np.ndarray
     n: int
 
-    def index(self, t) -> np.ndarray:
+    def _index(self, t) -> np.ndarray:
         """Positions of the values t among the thresholds; raises if one is not there."""
         t = np.asarray(t, dtype=float)
         i = np.minimum(np.searchsorted(self.thresholds, t), self.thresholds.size - 1)
@@ -99,18 +120,18 @@ class ThresholdCounts:
             raise ValueError("counts are known only at their thresholds")
         return i
 
-    def evaluate(self, z):
-        """P_hat(F <= z) as an exact count over n at thresholds z, as EmpiricalCdf.evaluate."""
-        out = self.at_most[self.index(z)] / self.n
-        return float(out) if np.ndim(z) == 0 else out
+    def at_most(self, t) -> np.ndarray:
+        return self.counts[0, self._index(t)]
+
+    def below(self, t) -> np.ndarray:
+        return self.counts[1, self._index(t)]
 
 
-def discrepancy_curve(ecdf: EmpiricalCdf | ThresholdCounts, grid: Sequence[float]) -> np.recarray:
+def discrepancy_curve(ecdf: EcdfCounts, grid: Sequence[float]) -> np.recarray:
     """|P_hat(F <= z) - Phi(z)| with binomial standard errors, one record per
     grid point: z, empirical_cdf, normal_cdf, discrepancy, standard_error.
 
-    `ecdf` is anything with `evaluate(z)` and `n`; ThresholdCounts must hold
-    every grid point among its thresholds."""
+    A ThresholdCounts must hold every grid point among its thresholds."""
     zs = np.atleast_1d(np.asarray(grid, dtype=float))
     if zs.size == 0 or not np.all(np.isfinite(zs)):
         raise ValueError("grid must be nonempty and finite")

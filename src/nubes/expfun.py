@@ -203,22 +203,15 @@ def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_step
 
 
 def sample_batch(
-    params: ExpFunParams,
-    cfg: PathConfig,
-    n_paths: int,
-    seed: int,
-    workers: int = 1,
-    chunk_size: int = PATH_CHUNK,
-    reduce=None,
+    params: ExpFunParams, cfg: PathConfig, n_paths: int, seed: int, workers: int = 1, reduce=None
 ) -> np.ndarray:
-    """n_paths realizations on the fixed substream layout (worker-count invariant).
+    """n_paths realizations on the fixed substream layout of PATH_CHUNK paths
+    per chunk (worker-count invariant).
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
-    return map_chunks(
-        _path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, chunk_size, workers, reduce
-    )
+    return map_chunks(_path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, PATH_CHUNK, workers, reduce)
 
 
 def standardize(f, m: ExpFunMoments):

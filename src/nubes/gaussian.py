@@ -98,6 +98,20 @@ def scaled_tail(x):
     return _shaped((SQRT_2PI / 2.0) * special.erfcx(arr / math.sqrt(2.0)), arr.shape)
 
 
+def _seam_factor(z: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp((x^2 - z^2)/2) for |x| <= |z|.
+
+    Once both squares overflow (|x|, |z| >~ 1.34e154) their difference is nan;
+    there the factor is 1 at x == z and 0 otherwise (the true exponent is
+    then below -1e292).  Wherever the difference is finite it is used as is.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent = (x**2 - z * z) / 2.0
+    exponent[np.isnan(exponent)] = -np.inf
+    exponent[x == z] = 0.0
+    return np.exp(exponent)
+
+
 def stein_value(z, x):
     """f_z(x), broadcast over z and x, with no intermediate overflow.
 
@@ -116,12 +130,12 @@ def stein_value(z, x):
     out[m] = scaled_tail(-xv[m]) * normal_tail(zv[m])
     m = lower & ~neg  # 0 < x <= z: anchor at the seam, exponent <= 0
     zm = zv[m]
-    out[m] = scaled_tail(zm) * np.exp((xv[m] ** 2 - zm * zm) / 2.0) * normal_cdf(xv[m])
+    out[m] = scaled_tail(zm) * _seam_factor(zm, xv[m]) * normal_cdf(xv[m])
     m = ~lower & ~neg  # x > max(z, 0)
     out[m] = scaled_tail(xv[m]) * normal_cdf(zv[m])
     m = ~lower & neg  # z < x <= 0: |x| <= |z| so the exponent is <= 0
     zm = zv[m]
-    out[m] = scaled_tail(-zm) * np.exp((xv[m] ** 2 - zm * zm) / 2.0) * normal_tail(xv[m])
+    out[m] = scaled_tail(-zm) * _seam_factor(zm, xv[m]) * normal_tail(xv[m])
 
     return _shaped(out, shape)
 
@@ -210,7 +224,8 @@ def check_lemma(z, grid: Sequence[float]) -> LemmaReport:
     fp = stein_derivative(zc, xs)
 
     global_margin = np.minimum(np.minimum(f, SQRT_2PI / 4.0 - f), 1.0 - np.abs(fp))  # positivity slack is f
-    envelope = np.exp(-zc * zc / 4.0)
+    with np.errstate(over="ignore"):  # z^2 overflows past 1.34e154: the envelope is 0
+        envelope = np.exp(-zc * zc / 4.0)
     center = np.abs(xs) <= zc / 2.0  # off-center points carry no center constraint: margin +inf
     value_margin = np.where(center, (SQRT_2PI / 2.0) * envelope - f, np.inf)
     deriv_margin = np.where(center, 2.0 * envelope - np.abs(fp), np.inf)

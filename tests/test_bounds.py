@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,10 @@ class TestTailModels:
         assert bounds.tail_probability(m, 0.0) == 1.0  # no division at x = 0
         assert bounds.tail_probability(m, 2.0) == 15.0 / 64.0
         assert bounds.tail_probability(m, 1.0) == 1.0  # clamped from 15
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # x^6 overflows at 5e59, 15/x^6 at 1e-60, silently
+            got = bounds.tail_probability(MarkovTail(p=6.0, moment_p=755.0), np.array([5e59, 1e-60]))
+        assert got.tolist() == [0.0, 1.0]
 
     def test_major_chaos_value(self):
         m = MajorChaosTail(q=2, c_q=1.0)

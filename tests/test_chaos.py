@@ -290,7 +290,7 @@ class TestExactCdf:
         x = 2.0
         p = chaos.exact_abs_tail_q2_rank1(x)
         se = math.sqrt(p * (1.0 - p) / ecdf.n)
-        tail = bounds.EmpiricalTail(sorted_samples=ecdf.sorted_samples)
+        tail = bounds.EmpiricalTail(ecdf)
         assert abs(bounds.tail_probability(tail, x) - p) <= 4.0 * se
 
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestSteinCheckScenario:
         run_cli(["stein-check", "--z-count", "3", "--x-count", "101", "--output", out])
         rows = out.read_text().splitlines()[1:]
         assert all(abs(float(r.split(",")[4])) <= 1e-9 for r in rows)
+
+    def test_extreme_grid_is_finite(self, tmp_path):
+        # the squares in the seam exponent and the envelope overflow at 1e200
+        out = tmp_path / "stein.csv"
+        argv = ["stein-check", "--z-min", "-1e200", "--z-max", "1e200", "--z-count", "3",
+                "--x-min", "-1e200", "--x-max", "1e200", "--x-count", "3", "--output", out]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(argv) == 0
+        rows = [r.split(",") for r in out.read_text().splitlines()[1:]]
+        assert len(rows) == 9 and all(math.isfinite(float(v)) for r in rows for v in r[2:5])
 
 
 class TestChaosCompareScenario:

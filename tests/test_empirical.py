@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import bounds, chaos, empirical
-from nubes.bounds import BoundInputs, CountedTail, EmpiricalTail, UnitTail
+from nubes.bounds import BoundInputs, EmpiricalTail, UnitTail
 from nubes.empirical import ThresholdCounts, build_ecdf, certify, count_chunk, discrepancy_curve, dkw_epsilon
 from nubes.gaussian import normal_cdf
 
@@ -121,8 +121,7 @@ class TestDkwEpsilon:
 
 
 def empirical_tail(ecdf, x):
-    # the CLI's route: the tail model shares the ECDF's sorted samples
-    return bounds.tail_probability(EmpiricalTail(sorted_samples=ecdf.sorted_samples), x)
+    return bounds.tail_probability(EmpiricalTail(ecdf), x)
 
 
 class TestEmpiricalTail:
@@ -245,7 +244,7 @@ def _thresholds(grid):
 def _streamed(samples, thresholds, cuts):
     # counts summed over the chunks the samples are cut into at `cuts`
     sums = sum(count_chunk(chunk.copy(), thresholds) for chunk in np.split(samples, cuts))
-    return ThresholdCounts(thresholds, *sums, n=samples.size)
+    return ThresholdCounts(thresholds, sums, n=samples.size)
 
 
 @st.composite
@@ -268,7 +267,7 @@ class TestStreamedCounts:
         ecdf = build_ecdf(samples)
         assert np.array_equal(counts.evaluate(grid), ecdf.evaluate(grid))
         x = np.abs(grid) / 2.0
-        streamed_tail = bounds.tail_probability(CountedTail(counts), x)
+        streamed_tail = bounds.tail_probability(EmpiricalTail(counts), x)
         assert np.array_equal(streamed_tail, bounds.tail_probability(EmpiricalTail.from_samples(samples), x))
         streamed, in_memory = discrepancy_curve(counts, grid), discrepancy_curve(ecdf, grid)
         for name in in_memory.dtype.names:
@@ -286,6 +285,8 @@ class TestStreamedCounts:
                 counts.evaluate(z)
         with pytest.raises(ValueError, match="thresholds"):
             discrepancy_curve(counts, [1.0, 1.5])
+        with pytest.raises(ValueError, match="thresholds"):
+            bounds.tail_probability(EmpiricalTail(counts), 0.5)  # -0.5 is not a threshold
 
     def test_count_chunk_transforms_first(self):
         sums = count_chunk(np.array([3.0, 5.0, 1.0]), np.array([0.0, 1.0]), transform=lambda s: (s - 3.0) / 2.0)

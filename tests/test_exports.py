@@ -7,7 +7,6 @@ nothing in the library reads it.
 
 import importlib
 import pkgutil
-import types
 
 import pytest
 
@@ -22,18 +21,3 @@ def test_all_entries_resolve(name):
     assert module.__all__
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
-
-def test_package_reexports_are_listed_by_their_module():
-    listed = {}
-    for name in SUBMODULES:
-        module = importlib.import_module(f"nubes.{name}")
-        listed.update({attr: getattr(module, attr) for attr in module.__all__})
-    reexports = {
-        attr: obj
-        for attr, obj in vars(nubes).items()
-        if not attr.startswith("_") and not isinstance(obj, types.ModuleType)
-    }
-    assert reexports
-    for attr, obj in reexports.items():
-        assert attr in listed, attr
-        assert listed[attr] is obj, attr

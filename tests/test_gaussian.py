@@ -134,9 +134,13 @@ class TestSteinSolution:
 
     def test_no_overflow_extremes(self):
         for z, x in [(200.0, 150.0), (-200.0, -150.0), (50.0, 50.0), (0.0, -400.0),
-                     (0.0, 400.0), (300.0, -300.0), (-300.0, 300.0), (37.9, 37.8)]:
+                     (0.0, 400.0), (300.0, -300.0), (-300.0, 300.0), (37.9, 37.8),
+                     # both squares of the seam exponent overflow
+                     (1e200, 1e200), (1e200, 5e199), (-1e200, -5e199), (1e308, 1e308)]:
             v = stein_value(z, x)
             assert math.isfinite(v) and v >= 0.0
+        # past the overflow of both squares: f_z(z) ~ 1/z at the seam, 0 strictly inside it
+        assert math.isclose(stein_value(1e200, 1e200), 1e-200, rel_tol=1e-12) and stein_value(1e200, 5e199) == 0.0
 
     def test_reflection_symmetry(self):
         # f_z(x) = f_{-z}(-x) away from the seam

@@ -184,7 +184,9 @@ def exact_cdf_q2_rank1(z):
     if not np.all(np.isfinite(za)):
         raise ValueError(f"z must be finite, got {z!r}")
     arg = 1.0 + math.sqrt(2.0) * za
-    out = np.where(arg > 0.0, 2.0 * normal_cdf(np.sqrt(np.maximum(arg, 0.0))) - 1.0, 0.0)
+    out = np.zeros_like(arg)
+    inside = arg > 0.0  # Phi is evaluated only where the CDF is positive
+    out[inside] = 2.0 * normal_cdf(np.sqrt(arg[inside])) - 1.0
     return float(out) if za.ndim == 0 else out
 
 
@@ -193,8 +195,8 @@ def exact_abs_tail_q2_rank1(x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
-    upper = 2.0 * normal_tail(np.sqrt(1.0 + math.sqrt(2.0) * xa))
+    out = np.asarray(2.0 * normal_tail(np.sqrt(1.0 + math.sqrt(2.0) * xa)))  # P(F > x)
     low_arg = 1.0 - math.sqrt(2.0) * xa
-    lower = np.where(low_arg > 0.0, 2.0 * normal_cdf(np.sqrt(np.maximum(low_arg, 0.0))) - 1.0, 0.0)
-    out = upper + lower
+    inside = low_arg > 0.0  # P(F < -x) > 0 only for x < 1/sqrt(2)
+    out[inside] += 2.0 * normal_cdf(np.sqrt(low_arg[inside])) - 1.0
     return float(out) if xa.ndim == 0 else out

@@ -7,6 +7,7 @@ moment recursions, and numpy's own Hermite evaluation.
 
 import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import hermite_e
 from scipy import integrate
@@ -94,3 +95,38 @@ def expfun_second_moment_quad(a: float, t: float) -> float:
 
 def expfun_variance_quad(a: float, t: float) -> float:
     return expfun_second_moment_quad(a, t) - expfun_mean_quad(a, t) ** 2
+
+
+def _erfcx_mpf(u):
+    """e^{u^2} erfc(u) as an mpf.  Past u = 1e4 (where mpmath's erfc cannot
+    take the argument) the asymptotic series 1/(u sqrt(pi)) *
+    (1 - 1/(2u^2) + 3/(4u^4)), whose next term is below 1e-24 relative."""
+    if u > 1e4:
+        return (1 - 1 / (2 * u * u) + 3 / (4 * u**4)) / (u * mpmath.sqrt(mpmath.pi))
+    return mpmath.exp(u * u) * mpmath.erfc(u)
+
+
+def erfcx_mp(u: float) -> float:
+    """e^{u^2} erfc(u) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(_erfcx_mpf(mpmath.mpf(u)))
+
+
+def exp_square_mp(u: float, sign: float) -> float:
+    """e^{sign u^2} at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.exp(sign * mpmath.mpf(u) ** 2))
+
+
+def normal_cdf_mp(x: float) -> float:
+    """Phi(x) at 40 digits (exactly 0 or 1 in double precision past |x| = 1e4)."""
+    if abs(x) > 1e4:
+        return 0.0 if x < 0 else 1.0
+    with mpmath.workdps(40):
+        return float(mpmath.ncdf(mpmath.mpf(x)))
+
+
+def scaled_tail_mp(x: float) -> float:
+    """sqrt(2 pi) e^{x^2/2} (1 - Phi(x)) = sqrt(pi/2) erfcx(x/sqrt(2)) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.sqrt(mpmath.pi / 2) * _erfcx_mpf(mpmath.mpf(x) / mpmath.sqrt(2)))

@@ -269,11 +269,12 @@ class TestExactCdf:
 
     def test_abs_tail(self):
         assert abs(chaos.exact_abs_tail_q2_rank1(0.0) - 1.0) <= 1e-15
-        # P(|F| > x) = 1 - cdf(x) + cdf(-x) for this continuous law
-        for x in (0.3, 1.0, 2.0, 7.0):
+        # P(|F| > x) = 1 - cdf(x) + cdf(-x) for this continuous law, on both
+        # sides of x = 1/sqrt(2), where P(F < -x) vanishes
+        for x in (0.3, 1.0, 2.0, 7.0, np.linspace(0.0, 8.0, 801)):
             direct = chaos.exact_abs_tail_q2_rank1(x)
             via_cdf = 1.0 - chaos.exact_cdf_q2_rank1(x) + chaos.exact_cdf_q2_rank1(-x)
-            assert abs(direct - via_cdf) <= 1e-14
+            assert np.max(np.abs(direct - via_cdf)) <= 1e-14
         with pytest.raises(ValueError):
             chaos.exact_abs_tail_q2_rank1(-0.5)
 

@@ -481,15 +481,36 @@ def test_streamed_expfun_rows_equal_in_memory_rows(workers, tmp_path):
     assert json.loads(out.read_text())["rows"] == expected
 
 
+def _run_python(code: str) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this nubes."""
+    src = os.path.dirname(os.path.dirname(nubes.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    return proc.stdout
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_runtime_never_imports_scipy(workers):
+    # the runtime needs numpy only; scipy is a test dependency.  The sampled
+    # runs span several chunks, so at --workers 2 a pool does the sampling.
+    runs = [["stein-check", "--z-count", "3", "--x-count", "21"],
+            ["chaos-compare", "--samples", "300000", "--z-count", "11"],
+            ["expfun-compare", "--samples", "10000", "--n-steps", "20", "--z-count", "11"],
+            ["bound-only", "--discrepancy", "1", "--tail", "exact", "--z-count", "11"]]
+    code = ("import os, sys\n"
+            "from nubes import cli\n"
+            f"for argv in {runs!r}:\n"
+            f"    assert cli.main(argv + ['--workers', '{workers}', '--output', os.devnull]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    assert _run_python(code).strip() == "[]"
+
+
 def _peak_rss_kib(samples: int) -> int:
     code = ("import resource, sys\n"
             "from nubes import cli\n"
             f"assert cli.main(['chaos-compare', '--samples', '{samples}', '--output', {os.devnull!r}]) == 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-    src = os.path.dirname(os.path.dirname(nubes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    return int(proc.stdout)
+    return int(_run_python(code))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")

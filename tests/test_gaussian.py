@@ -1,10 +1,13 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nubes import _normal_coefficients, gaussian
 from nubes.gaussian import (
     SQRT_2PI,
     check_lemma,
@@ -15,7 +18,14 @@ from nubes.gaussian import (
     stein_ode_residual_fd,
     stein_value,
 )
-from oracles import mills_asymptotic, normal_tail_asymptotic
+from oracles import (
+    erfcx_mp,
+    exp_square_mp,
+    mills_asymptotic,
+    normal_cdf_mp,
+    normal_tail_asymptotic,
+    scaled_tail_mp,
+)
 
 # high-precision reference values (mpmath, 40 digits)
 PHI_1 = 0.8413447460685429  # quadrature of the density on [0, 1] plus 1/2
@@ -46,6 +56,117 @@ class TestNormalCdf:
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError):
                 normal_cdf(bad)
+
+
+EPS = 2.0**-52  # one ulp of a double in [1, 2): the unit of relative error below
+TINY = np.finfo(float).tiny  # errors are checked where the reference is a finite normal float
+SPECIAL = (0.0, -0.0, 1 / math.sqrt(2.0), -1 / math.sqrt(2.0), 1.0, -1.0, 8.0, -8.0, 37.5, -37.5,
+           1e8, -1e8, 1e200, -1e200)
+
+
+def _argument_bound(x):
+    """(4 + x^2) ulps; |x| is capped where x^2 would overflow, far past any effect."""
+    return (4.0 + np.minimum(np.abs(x), 1e100) ** 2) * EPS
+
+
+def _relative_error(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    normal = (np.abs(want) >= TINY) & np.isfinite(want)
+    return np.abs(got[normal] / want[normal] - 1.0), normal
+
+
+class TestNormalKernels:
+    """The numpy kernels behind normal_cdf, normal_tail and scaled_tail.
+
+    Phi rounds its argument as cephes ndtr does, u = |x| sqrt(1/2) in double
+    precision.  That rounding alone moves Phi(x) by up to about x^2 ulps deep
+    in the tails (d log Phi/du ~ 2u), so the bound for Phi and for scaled_tail
+    at x < 0 is (4 + x^2) ulps; erfcx itself is held to 4 ulps.
+    """
+
+    def test_normal_cdf_against_mpmath(self):
+        rng = np.random.default_rng(20)
+        xs = np.concatenate([np.linspace(-38.5, 9.0, 4751), rng.uniform(-1.5, 1.5, 1000),
+                             np.nextafter([1.0, -1.0], 0.0), SPECIAL])
+        want = np.array([normal_cdf_mp(float(x)) for x in xs])
+        err, normal = _relative_error(normal_cdf(xs), want)
+        assert np.all(err <= _argument_bound(xs[normal]))
+        assert np.max(err[np.abs(xs[normal]) <= 1.0]) <= 4.0 * EPS
+        err, normal = _relative_error(normal_tail(xs), np.array([normal_cdf_mp(-float(x)) for x in xs]))
+        assert np.all(err <= _argument_bound(xs[normal]))
+
+    def test_erfcx_against_mpmath(self):
+        k = _normal_coefficients.ERFCX_K
+        edges = np.array([k / 3.0, k, 3.0 * k])  # the piece boundaries t = -1/2, 0, 1/2
+        rng = np.random.default_rng(21)
+        us = np.concatenate([np.linspace(0.0, 40.0, 4001), np.exp(rng.uniform(-30.0, 700.0, 1000)),
+                             edges, np.nextafter(edges, 0.0), np.abs(SPECIAL), [1e300, 1e307, 1.7e308]])
+        want = np.array([erfcx_mp(float(u)) for u in us])
+        err, _ = _relative_error(gaussian._erfcx(us), want)
+        assert np.max(err) <= 4.0 * EPS
+
+    def test_exp_square_against_mpmath(self):
+        # the split u = h + (u - h) keeps e^{-+u^2} to a few ulps; exp(-u*u)
+        # itself is off by up to u^2 ulps (256 at u = 26)
+        us = np.linspace(0.0, 26.6, 5001)
+        for sign in (-1.0, 1.0):
+            want = np.array([exp_square_mp(float(u), sign) for u in us])
+            err, _ = _relative_error(gaussian._exp_square(us, sign), want)
+            assert np.max(err) <= 4.0 * EPS
+
+    def test_scaled_tail_against_mpmath(self):
+        xs = np.concatenate([np.linspace(-37.6, 40.0, 3001), np.positive(SPECIAL)])
+        want = np.array([scaled_tail_mp(float(x)) if x > -38.0 else math.inf for x in xs])
+        got = scaled_tail(xs)
+        err, normal = _relative_error(got, want)
+        assert np.all(err <= _argument_bound(np.minimum(xs[normal], 0.0)))
+        assert np.all(got[np.isinf(want)] == math.inf)  # the value exceeds the double range
+
+    def test_agrees_with_scipy_ndtr(self):
+        # half the rtol at which the benchmark's oracle compares normal_cdf with ndtr
+        from scipy import special
+
+        for xs in (np.linspace(-8.0, 8.0, 161), np.linspace(-8.0, 8.0, 160_001)):
+            want = special.ndtr(xs)
+            assert np.max(np.abs(normal_cdf(xs) / want - 1.0)) <= 5e-15
+
+    def test_elementwise_across_blocks(self):
+        # each value depends on its own argument only, not on its neighbours
+        # or on where the blocks of the evaluation fall
+        xs = np.random.default_rng(22).uniform(-40.0, 40.0, 3 * gaussian._BLOCK + 17)
+        for kernel in (normal_cdf, normal_tail, scaled_tail):
+            whole = kernel(xs)
+            assert np.array_equal(whole[::-1], kernel(xs[::-1]))
+            assert np.array_equal(whole[5::97], kernel(xs[5::97]))
+            assert whole[123] == kernel(float(xs[123]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-40.0, 40.0), st.floats(1e-6, 10.0))
+    def test_monotone(self, x, gap):
+        assert normal_cdf(x) <= normal_cdf(x + gap)
+        assert normal_tail(x) >= normal_tail(x + gap)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e300, 1e300))
+    def test_symmetric(self, x):
+        assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-15
+        assert normal_tail(x) == normal_cdf(-x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-37.0, 1e300))
+    def test_scaled_tail_positive_and_finite(self, x):
+        value = scaled_tail(x)
+        assert math.isfinite(value) and value > 0.0
+
+    def test_coefficients_match_generator(self):
+        path = Path(__file__).resolve().parent.parent / "tools" / "normal_coefficients.py"
+        spec = importlib.util.spec_from_file_location("normal_coefficients", path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        tables = generator.tables()
+        for name, value in tables.items():
+            assert getattr(_normal_coefficients, name) == value
+        assert Path(_normal_coefficients.__file__).read_text(encoding="utf-8") == generator.render(tables)
 
 
 class TestNormalTail:

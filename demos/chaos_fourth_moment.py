@@ -23,7 +23,7 @@ d = chaos.stein_discrepancy_upper(m4, spec.q)
 print(f"exact fourth moment: {m4}  ->  Stein discrepancy upper bound d = {d:.6f}")
 
 n = 200_000
-samples = chaos.sample_batch(spec, n, seed=7, workers=2)
+samples = chaos.sample_batch(spec, n, seed=7)
 f4 = samples**4
 print(f"Monte Carlo check ({n} draws): m4_hat = {f4.mean():.3f} +- {f4.std(ddof=1) / math.sqrt(n):.3f}")
 
@@ -36,7 +36,7 @@ print(f"sup |ECDF - exact CDF| on the grid: {sup:.4f}  (DKW 99% band: "
 
 # non-uniform bound with the exact tail vs the flat uniform baseline
 inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d,
-                            tail=bounds.ExactCdfTail(cdf=chaos.exact_cdf_q2_rank1))
+                            tail=bounds.ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1))
 grid = np.linspace(-8.0, 8.0, 161)
 curve = bounds.evaluate_curve(inputs, grid)
 uniform = bounds.uniform_bound(inputs)

@@ -25,7 +25,7 @@ print(f"  sigma^2 = {m.sigma2_t:.6e}   (3 sigma^2/t^3 -> 1: {3 * m.sigma2_t / t*
 n_paths = 100_000
 cfg = expfun.PathConfig(n_steps=expfun.default_n_steps(t))
 print(f"\nsampling {n_paths} paths at {cfg.n_steps} steps (trapezoid) ...")
-f = expfun.sample_batch(params, cfg, n_paths, seed=12, workers=2)
+f = expfun.sample_batch(params, cfg, n_paths, seed=12)
 print(f"  MC mean  {f.mean():.8f}  vs closed form {m.m_t:.8f}")
 print(f"  MC var   {f.var(ddof=1):.4e}  vs closed form {m.sigma2_t:.4e}")
 

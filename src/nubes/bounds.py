@@ -7,9 +7,9 @@ The engine evaluates
 where d is a Stein discrepancy (either the Malliavin inner-product form or
 the Skorokhod-integrand form; the arithmetic is identical and only the
 provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
-exact CDF, Markov, chaos concentration, exponential-functional concentration,
-empirical (the plug-in tail of either ECDF, sorted samples or streamed counts
-at thresholds), or the constant 1.  A tail model is a callable from an array
+exact absolute tail, Markov, chaos concentration, exponential-functional
+concentration, empirical (the plug-in tail of either ECDF, sorted samples or
+streamed counts at thresholds), or the constant 1.  A tail model is a callable from an array
 of x >= 0 to an array of tail values; `tail_probability` validates x and clamps
 the values to [0, 1] (clamping only tightens the bound since the modeled
 quantity is a probability).  `evaluate_curve` is one array expression over
@@ -45,7 +45,7 @@ __all__ = [
     "UnitTail",
     "MarkovTail",
     "MajorChaosTail",
-    "ExactCdfTail",
+    "ExactTail",
     "EmpiricalTail",
     "ExpFunTail",
     "BoundInputs",
@@ -112,13 +112,19 @@ class MajorChaosTail(TailModel):
 
 
 @dataclass(frozen=True)
-class ExactCdfTail(TailModel):
-    """Exact two-sided tail 1 - cdf(x) + cdf(-x) of a continuous law; `cdf` takes arrays."""
+class ExactTail(TailModel):
+    """Exact two-sided tail P(|F| > x) of a law, from its `abs_tail` callable on arrays.
 
-    cdf: Callable[[np.ndarray], np.ndarray]
+    `abs_tail` should compute the tail directly, such as
+    `chaos.exact_abs_tail_q2_rank1`: the form 1 - cdf(x) + cdf(-x) cancels
+    to an absolute error of about 1e-16, so it loses the tail's relative
+    accuracy as the tail shrinks and reads 0 once the tail is below that.
+    """
+
+    abs_tail: Callable[[np.ndarray], np.ndarray]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return 1.0 - self.cdf(x) + self.cdf(-x)
+        return self.abs_tail(x)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import normal_cdf, normal_tail
-from .sampling import block_rows, map_chunks
+from .sampling import block_rows, map_chunks, worker_count
 
 __all__ = [
     "DiagonalChaosSpec",
@@ -138,14 +138,15 @@ def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -
     return out
 
 
-def sample_batch(spec: DiagonalChaosSpec, n: int, seed: int, workers: int = 1, reduce=None) -> np.ndarray:
+def sample_batch(spec: DiagonalChaosSpec, n: int, seed: int, workers: int | None = None, reduce=None) -> np.ndarray:
     """n realizations on the fixed substream layout of SAMPLE_CHUNK samples
-    per chunk (worker-count invariant).
+    per chunk (worker-count invariant; every usable CPU by default).
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
-    return map_chunks(_sample_chunk, (spec.q, spec.alphas), seed, n, SAMPLE_CHUNK, workers, reduce)
+    args = (spec.q, spec.alphas)
+    return map_chunks(_sample_chunk, args, seed, n, SAMPLE_CHUNK, worker_count(workers), reduce)
 
 
 def fourth_moment(spec: DiagonalChaosSpec) -> float:

@@ -24,8 +24,10 @@ Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
 Philox substreams keyed by chunk index, each chunk is drawn in row blocks in
 row order, and reductions run in chunk order; the pool never holds more
-processes than chunks or usable CPUs).  The JSON summary of chaos-compare
-and expfun-compare names the bit generator, chunk size and chunk count.
+processes than chunks or usable CPUs).  --workers defaults to every usable
+CPU; --workers 1, like a one-chunk run, samples in this process.  The JSON
+summary of chaos-compare and expfun-compare names the bit generator, chunk
+size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
 are the columns.  Floats are serialized with Python repr (shortest
 round-trip, up to 17 significant digits, '.' decimal separator), booleans as
@@ -89,7 +91,8 @@ def _z_grid(lo: float, hi: float, count: int) -> dict:
 _OUTPUT = {
     "output": (str, None, "output file path ('-' for stdout)"),
     "format": (("csv", "json"), "csv", "output format"),
-    "workers": (int, 1, "sampling processes; at most one per chunk and per usable CPU (does not affect output bytes)"),
+    "workers": (int, None, "sampling processes (default: every usable CPU; 1 samples in this process); "
+                "at most one per chunk and per usable CPU (does not affect output bytes)"),
 }
 _SAMPLES = {
     "seed": (int, 0, "seed of the Philox substream family"),
@@ -210,7 +213,7 @@ def _validate(cfg: dict):
         raise UsageError(f"--z-count must be >= 1, got {cfg['z-count']}")
     if not 0.0 <= cfg["z-max"] - cfg["z-min"] < math.inf:  # else np.linspace warns and makes nan
         raise UsageError(f"--z-min and --z-max must be finite and in order, got {cfg['z-min']} and {cfg['z-max']}")
-    if cfg["workers"] < 1:  # stein-check and bound-only never reach the sampler
+    if cfg["workers"] is not None and cfg["workers"] < 1:  # stein-check and bound-only never reach the sampler
         raise UsageError(f"--workers must be >= 1, got {cfg['workers']}")
     if not 0.0 <= cfg.get("slack-k", 0.0) < math.inf:  # certify sees k only after sampling
         raise UsageError(f"--slack-k must be finite and >= 0, got {cfg['slack-k']}")
@@ -291,7 +294,7 @@ def _tail_model(cfg: dict) -> bounds.TailModel | None:
     """The tail model cfg names; None for empirical, which is built from the run's counts."""
     kind = cfg["tail"]
     if kind == "exact":
-        return bounds.ExactCdfTail(cdf=chaos.exact_cdf_q2_rank1)
+        return bounds.ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1)
     if kind == "markov":
         return bounds.MarkovTail(p=cfg["markov-p"], moment_p=cfg["markov-moment"])
     if kind == "major":

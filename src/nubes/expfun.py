@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import block_rows, map_chunks
+from .sampling import block_rows, map_chunks, worker_count
 
 __all__ = [
     "Scheme",
@@ -203,15 +203,16 @@ def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_step
 
 
 def sample_batch(
-    params: ExpFunParams, cfg: PathConfig, n_paths: int, seed: int, workers: int = 1, reduce=None
+    params: ExpFunParams, cfg: PathConfig, n_paths: int, seed: int, workers: int | None = None, reduce=None
 ) -> np.ndarray:
     """n_paths realizations on the fixed substream layout of PATH_CHUNK paths
-    per chunk (worker-count invariant).
+    per chunk (worker-count invariant; every usable CPU by default).
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
-    return map_chunks(_path_chunk, (params.a, params.t, cfg.n_steps), seed, n_paths, PATH_CHUNK, workers, reduce)
+    args = (params.a, params.t, cfg.n_steps)
+    return map_chunks(_path_chunk, args, seed, n_paths, PATH_CHUNK, worker_count(workers), reduce)
 
 
 def standardize(f, m: ExpFunMoments):

@@ -248,13 +248,31 @@ def _seam_factor(z: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.exp(exponent)
 
 
+def _per_run(kernel, z: np.ndarray) -> np.ndarray:
+    """kernel(z) for a flat array z, evaluated once per run of equal values.
+
+    A (z, x) grid flattened in row order holds each z as one run, and so does
+    any masked subset of it; finding the runs costs one comparison per
+    element, where sorting for the distinct values cost more than the kernel
+    evaluations it saved.  The kernels are elementwise, so the values are
+    those of kernel(z).
+    """
+    starts = np.empty(z.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(z[1:], z[:-1], out=starts[1:])
+    run = np.cumsum(starts)
+    run -= 1
+    return kernel(z[starts])[run]
+
+
 def stein_value(z, x):
     """f_z(x), broadcast over z and x, with no intermediate overflow.
 
     Each quadrant below multiplies quantities that are individually bounded:
     scaled_tail at a nonnegative argument (<= sqrt(2*pi)/2), a CDF/tail factor
     in [0, 1], and where needed exp((x^2 - z^2)/2) with a nonpositive exponent.
-    Returns a float when z and x are both scalars.
+    The factors of z alone are evaluated once per run of equal z, which on a
+    (z, x) grid is once per z.  Returns a float when z and x are both scalars.
     """
     zv, xv, shape = _broadcast(z, x)
     out = np.empty_like(xv)
@@ -263,15 +281,15 @@ def stein_value(z, x):
     neg = xv <= 0.0
 
     m = lower & neg  # x <= min(z, 0): scaled_tail(-x) bounded, tail(z) in [0,1]
-    out[m] = scaled_tail(-xv[m]) * normal_tail(zv[m])
+    out[m] = scaled_tail(-xv[m]) * _per_run(normal_tail, zv[m])
     m = lower & ~neg  # 0 < x <= z: anchor at the seam, exponent <= 0
     zm = zv[m]
-    out[m] = scaled_tail(zm) * _seam_factor(zm, xv[m]) * normal_cdf(xv[m])
+    out[m] = _per_run(scaled_tail, zm) * _seam_factor(zm, xv[m]) * normal_cdf(xv[m])
     m = ~lower & ~neg  # x > max(z, 0)
-    out[m] = scaled_tail(xv[m]) * normal_cdf(zv[m])
+    out[m] = scaled_tail(xv[m]) * _per_run(normal_cdf, zv[m])
     m = ~lower & neg  # z < x <= 0: |x| <= |z| so the exponent is <= 0
     zm = zv[m]
-    out[m] = scaled_tail(-zm) * _seam_factor(zm, xv[m]) * normal_tail(xv[m])
+    out[m] = _per_run(scaled_tail, -zm) * _seam_factor(zm, xv[m]) * normal_tail(xv[m])
 
     return _shaped(out, shape)
 
@@ -283,7 +301,7 @@ def stein_derivative(z, x):
     branch (inclusive inequality) is reported.
     """
     zv, xv, shape = _broadcast(z, x)
-    out = xv * stein_value(zv, xv) + (xv <= zv).astype(float) - normal_cdf(zv)
+    out = xv * stein_value(zv, xv) + (xv <= zv).astype(float) - _per_run(normal_cdf, zv)
     return _shaped(out, shape)
 
 

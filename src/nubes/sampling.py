@@ -16,17 +16,22 @@ A run may reduce each chunk inside its own job (`map_chunks(..., reduce=)`):
 the job then returns an integer array instead of the samples and the run
 returns the sum of those arrays, which is exact in any order, so no process
 ever holds more than one chunk of samples.
+
+Workers: a run uses every usable CPU unless it is given a worker count
+(`workers=None`, the default of `map_chunks` and of the samplers built on
+it); `workers=1` runs every chunk in this process.  A pool starts only for a
+run of more than one chunk and more than one worker, and only then is
+`concurrent.futures` imported.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-__all__ = ["substream", "chunk_counts", "block_rows", "layout", "map_chunks"]
+__all__ = ["substream", "chunk_counts", "block_rows", "layout", "worker_count", "map_chunks"]
 
 BIT_GENERATOR = np.random.Philox
 # normals drawn and reduced per row block: 128 KiB of float64, so a block and
@@ -74,6 +79,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def worker_count(workers: int | None = None) -> int:
+    """The worker count of a run: `workers`, or every usable CPU when it is None.
+
+    The samplers hand `map_chunks` this resolved count, so its `workers`
+    argument is always a number to code that wraps it (perfbench's tracer).
+    """
+    return _usable_cpus() if workers is None else workers
+
+
 def _run_chunk(job):
     fn, seed, index, count, args, reduce = job
     samples = fn(substream(seed, index), count, *args)
@@ -81,7 +95,7 @@ def _run_chunk(job):
 
 
 def map_chunks(
-    fn, args: tuple, seed: int, total: int, chunk_size: int, workers: int = 1, reduce=None
+    fn, args: tuple, seed: int, total: int, chunk_size: int, workers: int | None = None, reduce=None
 ) -> np.ndarray:
     """Concatenate fn(rng_i, count_i, *args) over the fixed chunk layout.
 
@@ -89,9 +103,10 @@ def map_chunks(
     workers > 1) returning a 1-d array of length count_i.  With `reduce`, a
     picklable callable, each chunk's job returns reduce(samples), an integer
     array of the same shape for every chunk (it may overwrite the samples),
-    and the result is the sum of those arrays.  The pool starts
-    min(workers, chunks, usable CPUs) processes.  The result is identical for
-    any `workers` value.
+    and the result is the sum of those arrays.  `workers` defaults to the
+    usable CPU count (`worker_count`); the pool starts min(workers, chunks,
+    usable CPUs) processes, and none for one worker or one chunk.  The result
+    is identical for any `workers` value.
     """
     if seed < 0:  # numpy would reject it inside the first chunk, maybe in a worker
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -99,9 +114,12 @@ def map_chunks(
         (fn, seed, i, c, args, reduce)
         for i, c in enumerate(chunk_counts(total, chunk_size))
     ]
+    workers = worker_count(workers)
     if workers <= 1 or len(jobs) == 1:
         parts = [_run_chunk(j) for j in jobs]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported only by the runs that pool
+
         # the fork pool starts all max_workers processes at once
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as ex:
             parts = list(ex.map(_run_chunk, jobs, chunksize=1))

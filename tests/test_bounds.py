@@ -10,7 +10,7 @@ from nubes import bounds, chaos, expfun
 from nubes.bounds import (
     BoundInputs,
     EmpiricalTail,
-    ExactCdfTail,
+    ExactTail,
     ExpFunTail,
     MajorChaosTail,
     MarkovTail,
@@ -24,7 +24,7 @@ BOUND_Z4_EXACT_TAIL = 0.36926373382554775
 
 
 def exact_tail_model():
-    return ExactCdfTail(cdf=chaos.exact_cdf_q2_rank1)
+    return ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1)
 
 
 class TestTailModels:
@@ -49,7 +49,7 @@ class TestTailModels:
         assert abs(bounds.tail_probability(m, 4.0) - math.exp(-2.0)) <= 1e-16
         assert bounds.tail_probability(m, 0.0) == 1.0
 
-    def test_exact_cdf_tail(self):
+    def test_exact_tail(self):
         m = exact_tail_model()
         assert bounds.tail_probability(m, 0.0) == 1.0
         assert abs(bounds.tail_probability(m, 2.0) / P_ABS_GT_2 - 1.0) <= 1e-13

@@ -1,3 +1,5 @@
+import concurrent.futures
+import functools
 import json
 import math
 import os
@@ -5,11 +7,13 @@ import subprocess
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
 import nubes
 from nubes import bounds, chaos, cli, empirical, expfun, sampling
+from test_sampling import RecordingPool
 
 
 def run_cli(args):
@@ -249,6 +253,19 @@ class TestBoundOnlyScenario:
 
     def test_requires_discrepancy(self):
         assert run_cli(["bound-only", "--output", "x.csv"]) == 1
+
+    def test_exact_tail_far_out(self, tmp_path):
+        # P(|F| > 100) of F = (N^2 - 1)/sqrt(2) is 7.9e-33; 1 - cdf(x) + cdf(-x) read 0 from |z| = 97.
+        # Every |z| here is >= 66.7, so P(|F| > x) = P(|N| > sqrt(1 + sqrt2 x)).
+        out = tmp_path / "b.json"
+        assert run_cli(["bound-only", "--discrepancy", "1", "--tail", "exact", "--z-min", "-200",
+                        "--z-max", "200", "--z-count", "4", "--format", "json", "--output", out]) == 0
+        rows = json.loads(out.read_text())["rows"]
+        with mpmath.workdps(50):
+            for z, tail_term, _, bound, _ in rows:
+                want = mpmath.erfc(mpmath.sqrt((1 + mpmath.sqrt(2) * abs(z) / 2) / 2))
+                assert tail_term > 0.0 and bound > 0.0
+                assert abs(tail_term / want - 1) <= 1e-12, z
 
     def test_expfun_tail(self, tmp_path):
         out = tmp_path / "b.csv"
@@ -505,10 +522,28 @@ def test_runtime_never_imports_scipy(workers):
     assert _run_python(code).strip() == "[]"
 
 
+def test_pool_module_imported_only_by_runs_that_pool():
+    # importing nubes.cli, and every run that samples in this process, leaves
+    # concurrent.futures out; bound-only and stein-check never sample
+    runs = [["stein-check", "--z-count", "3", "--x-count", "21"],
+            ["bound-only", "--discrepancy", "1", "--z-count", "11"],
+            ["chaos-compare", "--samples", "1000", "--z-count", "11"],
+            ["chaos-compare", "--samples", "300000", "--z-count", "11", "--workers", "1"]]
+    code = ("import os, sys\n"
+            "from nubes import cli\n"
+            "print('concurrent.futures.process' in sys.modules)\n"
+            f"for argv in {runs!r}:\n"
+            "    assert cli.main(argv + ['--output', os.devnull]) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n")
+    assert _run_python(code).split("\n") == ["False", "[]", ""]
+
+
 def _peak_rss_kib(samples: int) -> int:
     code = ("import resource, sys\n"
             "from nubes import cli\n"
-            f"assert cli.main(['chaos-compare', '--samples', '{samples}', '--output', {os.devnull!r}]) == 0\n"
+            # in this process, where ru_maxrss sees it (a pool worker's memory is its own)
+            f"assert cli.main(['chaos-compare', '--samples', '{samples}', '--workers', '1', "
+            f"'--output', {os.devnull!r}]) == 0\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     return int(_run_python(code))
 
@@ -536,6 +571,42 @@ class TestDeterminism:
         assert run_cli(base + ["--workers", "1", "--output", out1]) == 0
         assert run_cli(base + ["--workers", "3", "--output", out3]) == 0
         assert out1.read_bytes() == out3.read_bytes()
+
+
+class TestDefaultWorkers:
+    """--workers defaults to every usable CPU; --workers 1 samples in this process."""
+
+    # three chunks each: 2^18 samples and 4,096 paths per chunk
+    RUNS = {
+        "chaos": ["chaos-compare", "--samples", "600000", "--seed", "5", "--z-count", "21"],
+        "expfun": ["expfun-compare", "--t", "0.05", "--samples", "8193", "--n-steps", "20",
+                   "--seed", "5", "--z-count", "21", "--format", "json"],
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_default_pool_is_the_usable_cpu_count(self, scenario, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(RecordingPool, sizes))
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        assert run_cli(self.RUNS[scenario] + ["--output", tmp_path / "out"]) == 0
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_one_worker_starts_no_pool(self, scenario, tmp_path, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        assert run_cli(self.RUNS[scenario] + ["--workers", "1", "--output", tmp_path / "out"]) == 0
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_default_and_one_worker_write_the_same_bytes(self, scenario, tmp_path):
+        # a real pool on a host with more than one usable CPU
+        default, one = tmp_path / "default", tmp_path / "one"
+        assert run_cli(self.RUNS[scenario] + ["--output", default]) == 0
+        assert run_cli(self.RUNS[scenario] + ["--workers", "1", "--output", one]) == 0
+        assert default.read_bytes() == one.read_bytes()
 
 
 def test_module_invocation():

@@ -377,12 +377,21 @@ class TestBroadcastEqualsScalar:
     @given(_zs, _xs, st.floats(-3e-4, 3e-4))
     def test_kernels(self, zs, xs, offset):
         z = np.array([0.0, *zs])
-        # seams, and points within the one-sided stencil band around them
-        x = np.array([*xs, *z, *(z + offset)])
+        # seams, points within the one-sided stencil band around them, and
+        # the mirror points, so that every row crosses x = 0 and x = z
+        x = np.array([*xs, *z, *(z + offset), *(-z)])
         for kernel in (stein_value, stein_derivative, stein_ode_residual_fd):
             grid = kernel(z[:, None], x)
             for i in range(z.size):
                 assert np.array_equal(grid[i], kernel(float(z[i]), x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-40.0, 40.0), st.sampled_from([0.0, -0.0, 1.5])), min_size=1, max_size=40))
+    def test_z_factors_once_per_run(self, zs):
+        # stein_value and stein_derivative evaluate their z-only factors once per run of equal z
+        z = np.repeat(zs, np.arange(len(zs)) % 3 + 1)
+        for kernel in (normal_cdf, normal_tail, scaled_tail):
+            assert np.array_equal(gaussian._per_run(kernel, z), kernel(z))
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(1e-3, 300.0), min_size=1, max_size=6), _xs)

@@ -1,6 +1,8 @@
+import concurrent.futures
 import functools
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -75,6 +77,31 @@ class TestReduce:
             map_chunks(_draw_with_nan, (), 5, 1000, 256, workers, reduce=reduce)
 
 
+class RecordingPool:
+    """Records max_workers and maps in this process; starts no process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs, chunksize=1):
+        return map(fn, jobs)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Pools record their size and start no process; set `.cpus` for the usable CPU count."""
+    record = types.SimpleNamespace(sizes=[], cpus=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(RecordingPool, record.sizes))
+    monkeypatch.setattr(sampling, "_usable_cpus", lambda: record.cpus)
+    return record
+
+
 class TestMapChunks:
     def test_concatenates_in_chunk_order(self):
         out = map_chunks(_draw, (1.0,), seed=7, total=10, chunk_size=4, workers=1)
@@ -99,30 +126,46 @@ class TestMapChunks:
         [(5000, 3, 64, 3), (5000, 100, 2, 2), (2, 10, 64, 2), (3, 10, 1, 1)],
         ids=["chunks", "cpus", "workers", "one-cpu"],
     )
-    def test_pool_is_capped(self, workers, chunks, cpus, expected, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            """Records max_workers and maps in this process; starts no process."""
-
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(sampling, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sampling, "_usable_cpus", lambda: cpus)
+    def test_pool_is_capped(self, workers, chunks, cpus, expected, pools):
+        pools.cpus = cpus
         total = 256 * chunks - 5
         out = map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256, workers=workers)
-        assert sizes == [expected]
+        assert pools.sizes == [expected]
         assert np.array_equal(out, map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256, workers=1))
+
+    @pytest.mark.parametrize(
+        "chunks, cpus, expected",
+        [(100, 2, [2]), (3, 64, [3]), (100, 1, []), (1, 64, [])],
+        ids=["cpus", "chunks", "one-cpu", "one-chunk"],
+    )
+    def test_default_pool_is_the_usable_cpu_count(self, chunks, cpus, expected, pools):
+        pools.cpus = cpus
+        total = 256 * chunks - 5
+        out = map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256)
+        assert pools.sizes == expected
+        assert np.array_equal(out, map_chunks(_draw, (1.0,), seed=5, total=total, chunk_size=256, workers=1))
+
+    def test_samplers_default_to_the_usable_cpu_count(self, pools):
+        pools.cpus = 2
+        rank1 = chaos.normalize(chaos.DiagonalChaosSpec(q=2, alphas=(1.0,)))
+        chaos.sample_batch(rank1, chaos.SAMPLE_CHUNK + 1, seed=3)
+        expfun.sample_batch(expfun.ExpFunParams(a=0.0, t=0.05), expfun.PathConfig(n_steps=4),
+                            expfun.PATH_CHUNK + 1, seed=3)
+        assert pools.sizes == [2, 2]
+
+    def test_one_worker_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
+        out = map_chunks(_draw, (1.0,), seed=5, total=5000, chunk_size=256, workers=1)
+        assert out.size == 5000
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 7)
+        assert sampling.worker_count() == sampling.worker_count(None) == 7
+        assert sampling.worker_count(1) == 1 and sampling.worker_count(3) == 3
 
     def test_usable_cpus(self):
         assert 1 <= sampling._usable_cpus() <= (os.cpu_count() or 1)

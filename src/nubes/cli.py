@@ -29,12 +29,13 @@ CPU; --workers 1, like a one-chunk run, samples in this process.  The JSON
 summary of chaos-compare and expfun-compare names the bit generator, chunk
 size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
-are the columns.  Floats are serialized with Python repr (shortest
+are the columns.  Floats are written as Python repr writes them (shortest
 round-trip, up to 17 significant digits, '.' decimal separator), booleans as
 1/0 in CSV and true/false in JSON, strings as they are.  CSV uses a header
-row, comma separators, and LF line endings.  JSON uses the documented
-insertion order and omits file paths so output is byte-comparable across
-locations.
+row, comma separators, and LF line endings; it is written in blocks of rows,
+each formatted in numpy (`_floattext`, byte-equal to repr) and written as it
+is made.  JSON goes through json.dumps, uses the documented insertion order
+and omits file paths so output is byte-comparable across locations.
 
 Memory: chaos-compare and expfun-compare never hold the sample array.  Each
 chunk's job reduces its samples to integer counts at the z grid and at
@@ -238,31 +239,65 @@ def _parse_alphas(text: str) -> tuple[float, ...]:
         raise UsageError(f"--alphas must be a comma-separated list of numbers, got {text!r}") from exc
 
 
-def _cells(column: np.ndarray) -> list[str]:
-    values = column.tolist()
-    if column.dtype == bool:
-        return ["1" if v else "0" for v in values]
-    return list(map(repr, values)) if column.dtype.kind == "f" else values
+_BLOCK_CELLS = 8192  # float cells formatted at a time
+
+
+def _text_cells(column: np.ndarray, sep: int) -> np.ndarray:
+    """Cells of a column that is not float, with their separator, as a (rows,
+    width) uint8 array padded with zero bytes: booleans as 1/0, others by
+    str.  Each distinct value is formatted once."""
+    distinct, index = np.unique(column.astype(np.uint8) if column.dtype == bool else column, return_inverse=True)
+    cells = [f"{value}".encode() + bytes([sep]) for value in distinct.tolist()]
+    return np.array(cells, dtype=bytes).view(np.uint8).reshape(len(cells), -1)[index]
+
+
+def _write_csv(stream, rows: np.recarray):
+    """Write the header and then each block of rows, as it is made, to the binary stream.
+
+    A block's cells sit in fixed-width zero-padded slots, one row of the
+    block after another; dropping the zero bytes leaves the CSV text."""
+    from . import _floattext  # imported here, so runs that write no CSV skip compiling it (a few ms)
+
+    names = rows.dtype.names
+    stream.write((",".join(names) + "\n").encode())
+    seps = [ord(",")] * (len(names) - 1) + [ord("\n")]
+    floats = [i for i, name in enumerate(names) if rows.dtype[name].kind == "f"]
+    block = _BLOCK_CELLS // max(len(floats), 1)
+    cells = _floattext.Cells(block * len(floats))
+    float_seps = np.array([seps[i] for i in floats], dtype=np.uint64)
+    for start in range(0, len(rows), block):
+        part = rows[start:start + block]
+        slots = {}
+        if floats:
+            values = np.stack([part[names[i]] for i in floats], axis=1)
+            made = cells(values, float_seps).reshape(len(part), len(floats), _floattext.SLOT)
+            slots = {i: made[:, j] for j, i in enumerate(floats)}
+        text = np.concatenate([slots[i] if i in slots else _text_cells(part[name], seps[i])
+                               for i, name in enumerate(names)], axis=1)
+        stream.write(text[text != 0])
 
 
 def _write(cfg: dict, summary: dict, rows: np.recarray):
+    if cfg["format"] == "csv":
+        if cfg["output"] == "-":
+            sys.stdout.flush()
+            _write_csv(sys.stdout.buffer, rows)
+            sys.stdout.buffer.flush()
+        else:
+            with open(cfg["output"], "wb") as fh:
+                _write_csv(fh, rows)
+        return
     # parameters echoed in JSON exclude file paths and the worker count, so
     # bytes depend on neither where the output lands nor how it was computed
     params = {k: v for k, v in cfg.items() if k not in ("output", "format", "scenario", "workers")}
-    columns = list(rows.dtype.names)
-    if cfg["format"] == "csv":
-        lines = [",".join(columns)]
-        lines.extend(map(",".join, zip(*(_cells(rows[name]) for name in columns))))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {
-            "scenario": cfg["scenario"],
-            "parameters": params,
-            "columns": columns,
-            "rows": rows.tolist(),
-            "summary": summary,
-        }
-        text = json.dumps(payload, indent=2) + "\n"
+    payload = {
+        "scenario": cfg["scenario"],
+        "parameters": params,
+        "columns": list(rows.dtype.names),
+        "rows": rows.tolist(),
+        "summary": summary,
+    }
+    text = json.dumps(payload, indent=2) + "\n"
     if cfg["output"] == "-":
         sys.stdout.write(text)
     else:
@@ -333,7 +368,7 @@ def _run_chaos_compare(cfg: dict) -> int:
     m4 = chaos.fourth_moment(spec)
     d = chaos.stein_discrepancy_upper(m4, spec.q)
     summary = {"fourth_moment": m4, "stein_discrepancy": d, "uniform_bound": d, "violations": None,
-               "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK)}
+               "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK), "numpy": np.__version__}
     sample_batch = functools.partial(chaos.sample_batch, spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
 
     def bound(zs, counts):
@@ -352,7 +387,7 @@ def _run_expfun_compare(cfg: dict) -> int:
     summary = {"m_t": m.m_t, "sigma2_t": m.sigma2_t, "n_steps": n_steps,
                "uniform_bound": math.sqrt(expfun.discrepancy_sq_upper(params, m)), "violations": None,
                "note": "bound targets the exact law; sampled paths carry unquantified discretization bias",
-               "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK)}
+               "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK), "numpy": np.__version__}
     sample_batch = functools.partial(
         expfun.sample_batch, params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"]
     )

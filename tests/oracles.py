@@ -130,3 +130,19 @@ def scaled_tail_mp(x: float) -> float:
     """sqrt(2 pi) e^{x^2/2} (1 - Phi(x)) = sqrt(pi/2) erfcx(x/sqrt(2)) at 40 digits."""
     with mpmath.workdps(40):
         return float(mpmath.sqrt(mpmath.pi / 2) * _erfcx_mpf(mpmath.mpf(x) / mpmath.sqrt(2)))
+
+
+def csv_bytes(rows: np.recarray) -> bytes:
+    """CSV text of a record array as one Python `repr` per float cell writes
+    it: a header row, comma separators, LF line endings, booleans as 1/0 and
+    other cells by `str`."""
+
+    def cells(column: np.ndarray) -> list[str]:
+        values = column.tolist()
+        if column.dtype == bool:
+            return ["1" if v else "0" for v in values]
+        return list(map(repr, values)) if column.dtype.kind == "f" else list(map(str, values))
+
+    names = rows.dtype.names
+    lines = [",".join(names), *map(",".join, zip(*(cells(rows[name]) for name in names)))]
+    return ("\n".join(lines) + "\n").encode()

@@ -13,6 +13,7 @@ import pytest
 
 import nubes
 from nubes import bounds, chaos, cli, empirical, expfun, sampling
+from oracles import csv_bytes
 from test_sampling import RecordingPool
 
 
@@ -334,11 +335,11 @@ COMPARE_COLUMNS = "z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound
         (["chaos-compare", "--samples", "100", "--z-count", "3"],
          "seed,samples,z-min,z-max,z-count,slack-k,q,alphas,tail,c-q,markov-p,markov-moment",
          COMPARE_COLUMNS,
-         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling"),
+         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling,numpy"),
         (["expfun-compare", "--samples", "100", "--n-steps", "10", "--z-count", "3"],
          "seed,samples,z-min,z-max,z-count,slack-k,a,t,n-steps",
          COMPARE_COLUMNS,
-         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling"),
+         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling,numpy"),
         (["bound-only", "--discrepancy", "1", "--z-count", "3"],
          "z-min,z-max,z-count,mean-abs,discrepancy,tail,q,c-q,markov-p,markov-moment,a,t",
          "z,tail_term,gaussian_term,bound,uniform_bound",
@@ -351,11 +352,11 @@ COMPARE_COLUMNS = "z,empirical_cdf,normal_cdf,discrepancy,se,bound,uniform_bound
         (["chaos-compare", "--alphas", "-1e-3,1", "--tail", "unit", "--samples", "100", "--z-count", "3"],
          "seed,samples,z-min,z-max,z-count,slack-k,q,alphas,tail,c-q,markov-p,markov-moment",
          COMPARE_COLUMNS,
-         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling"),
+         "fourth_moment,stein_discrepancy,uniform_bound,violations,sampling,numpy"),
         (["expfun-compare", "--a", "-1e-3", "--samples", "100", "--n-steps", "10", "--z-count", "3"],
          "seed,samples,z-min,z-max,z-count,slack-k,a,t,n-steps",
          COMPARE_COLUMNS,
-         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling"),
+         "m_t,sigma2_t,n_steps,uniform_bound,violations,note,sampling,numpy"),
     ],
     ids=["stein-check", "chaos-compare", "expfun-compare", "bound-only",
          "bound-only-z-min-exponent", "chaos-compare-alphas-exponent", "expfun-compare-a-exponent"],
@@ -370,6 +371,7 @@ def test_output_layout(args, parameters, columns, summary, tmp_path):
     assert ",".join(payload["parameters"]) == parameters
     assert ",".join(payload["columns"]) == columns
     assert ",".join(payload["summary"]) == summary
+    assert payload["summary"].get("numpy", np.__version__) == np.__version__
     assert csv_out.read_text().splitlines()[0] == columns
 
 
@@ -607,6 +609,80 @@ class TestDefaultWorkers:
         assert run_cli(self.RUNS[scenario] + ["--output", default]) == 0
         assert run_cli(self.RUNS[scenario] + ["--workers", "1", "--output", one]) == 0
         assert default.read_bytes() == one.read_bytes()
+
+
+class TestCsvBytes:
+    """The CSV writer against the reference writer (tests/oracles.py) on the
+    record array each scenario hands to `cli._write`."""
+
+    @staticmethod
+    def _written(args, tmp_path, monkeypatch):
+        tables = []
+        write = cli._write
+
+        def spy(cfg, summary, rows):
+            tables.append(rows)
+            write(cfg, summary, rows)
+
+        monkeypatch.setattr(cli, "_write", spy)
+        out = tmp_path / "out.csv"
+        assert run_cli(args + ["--output", out]) in (0, 2)
+        return out.read_bytes(), tables[0]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the Gaussian and tail terms underflow to subnormals and 0.0 here, which repr writes
+            ["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact",
+             "--z-min", "-80", "--z-max", "80", "--z-count", "16001"],
+            ["stein-check", "--z-count", "13", "--x-count", "401"],  # a string column
+            ["chaos-compare", "--tail", "major", "--c-q", "1e-3", "--samples", "20000",
+             "--seed", "2", "--z-count", "41"],  # a boolean column, with both values
+            ["expfun-compare", "--t", "0.05", "--samples", "2000", "--n-steps", "50", "--z-count", "21"],
+        ],
+        ids=["bound-only-underflow", "stein-check", "chaos-compare", "expfun-compare"],
+    )
+    def test_scenario_bytes(self, args, tmp_path, monkeypatch):
+        written, rows = self._written(args, tmp_path, monkeypatch)
+        assert written == csv_bytes(rows)
+
+    def test_fallback_cells_are_written(self, tmp_path, monkeypatch):
+        args = ["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact",
+                "--z-min", "-80", "--z-max", "80", "--z-count", "16001"]
+        _, rows = self._written(args, tmp_path, monkeypatch)
+        gauss = rows["gaussian_term"]
+        assert np.any(gauss == 0.0)
+        assert np.any((gauss > 0.0) & (gauss < np.finfo(float).tiny))
+
+    def test_every_column_kind(self, tmp_path):
+        rows = np.rec.fromarrays(
+            [np.array([1.5, -0.0, np.nan, 5e-324, 1e16]), np.array([3, -7, 0, 2**62, 10]),
+             np.array([True, False, True, False, True]), np.array(["a", "", "héllo", "111", "x y"])],
+            names="f,count,ok,label",
+        )
+        out = tmp_path / "kinds.csv"
+        cli._write({"format": "csv", "output": str(out)}, {}, rows)
+        assert out.read_bytes() == csv_bytes(rows)
+        assert out.read_text(encoding="utf-8").splitlines()[2] == "-0.0,-7,0,"
+
+    def test_empty_table(self, tmp_path):
+        rows = np.rec.fromarrays([np.array([]), np.array([], dtype=bool)], names="z,violated")
+        out = tmp_path / "empty.csv"
+        cli._write({"format": "csv", "output": str(out)}, {}, rows)
+        assert out.read_bytes() == b"z,violated\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["stein-check", "--z-count", "5", "--x-count", "101"],
+         ["chaos-compare", "--samples", "5000", "--z-count", "21"]],
+        ids=["stein-check", "chaos-compare"],
+    )
+    def test_stdout_equals_file(self, args, tmp_path, capsysbinary):
+        out = tmp_path / "out.csv"
+        assert run_cli(args + ["--output", out]) == 0
+        capsysbinary.readouterr()
+        assert run_cli(args + ["--output", "-"]) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 def test_module_invocation():

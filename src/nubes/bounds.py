@@ -227,6 +227,7 @@ def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:
     if z.size == 0 or not np.all(np.isfinite(z)):
         raise ValueError("grid must be nonempty and finite")
     tail = tail_probability(inputs.tail, np.abs(z) / 2.0)
-    gauss = 2.0 * np.exp(-z * z / 4.0)
+    with np.errstate(over="ignore"):  # z * z = inf past |z| ~ 1.3e154, where the term is 0
+        gauss = 2.0 * np.exp(-z * z / 4.0)
     bounds = (inputs.mean_abs + inputs.stein_discrepancy) * (np.sqrt(tail) + gauss)
     return BoundCurve(z=z, tail_term=tail, gaussian_term=gauss, bounds=bounds)

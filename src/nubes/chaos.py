@@ -26,9 +26,9 @@ oracle throughout the test and certification suites.
 
 Batch sampling runs on independently seeded substreams per fixed-size chunk
 and reduces in chunk order, so results do not depend on worker scheduling;
-inside a chunk it draws and reduces cache-sized row blocks in row order,
-which keeps the draws and the values of drawing the chunk whole.  Everything
-else is pure.
+inside a chunk it runs `sampling.draw_rows` and sums each row's terms left to
+right, without BLAS, so a sample depends on its own normals alone.
+Everything else is pure.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import normal_cdf, normal_tail
-from .sampling import block_rows, map_chunks, worker_count
+from .sampling import draw_rows, map_chunks, worker_count
 
 __all__ = [
     "DiagonalChaosSpec",
@@ -82,17 +82,16 @@ def hermite(q: int, x):
     if int(q) != q or q < 0:
         raise ValueError(f"hermite order must be an integer >= 0, got {q}")
     xa = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(xa)
-    if q == 0:
-        return float(h_prev) if xa.ndim == 0 else h_prev
-    h = xa.copy()
-    tmp = np.empty_like(xa)
-    for k in range(1, q):
-        # H_{k+1} = x H_k - k H_{k-1}, written into the buffer of H_{k-1}
-        np.multiply(xa, h, out=tmp)
-        np.multiply(h_prev, k, out=h_prev)
-        np.subtract(tmp, h_prev, out=h_prev)
-        h, h_prev = h_prev, h
+    if q < 2:
+        h = np.ones_like(xa) if q == 0 else xa.copy()
+    else:
+        h_prev, h = xa, xa * xa
+        h -= 1.0
+        for k in range(2, q):
+            # H_{k+1} = x H_k - k H_{k-1}
+            h_next = xa * h
+            h_next -= k * h_prev
+            h_prev, h = h, h_next
     return float(h) if xa.ndim == 0 else h
 
 
@@ -120,22 +119,15 @@ def normalize(spec: DiagonalChaosSpec) -> DiagonalChaosSpec:
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -> np.ndarray:
-    # row blocks draw in the chunk's order: out equals hermite(q, N) @ alphas
-    # for N = rng.standard_normal((count, m)) drawn whole.  BLAS sums a row
-    # in an order that depends on its place in a group of rows counted from
-    # the first, so blocks hold a multiple of 64 rows; numpy takes a one-row
-    # product as a dot, so a lone last row joins the block before it.
-    alphas = np.asarray(alphas)
-    rows = max(64, block_rows(alphas.size) // 64 * 64)
-    out = np.empty(count)
-    start = 0
-    while start < count:
-        stop = start + rows
-        if stop >= count - 1:
-            stop = count
-        out[start:stop] = hermite(q, rng.standard_normal((stop - start, alphas.size))) @ alphas
-        start = stop
-    return out
+    def row_values(w):
+        # sum_i alpha_i H_q(N_i) column by column, left to right
+        h = hermite(q, w)
+        v = h[:, 0] * alphas[0]
+        for j in range(1, len(alphas)):
+            v += h[:, j] * alphas[j]
+        return v
+
+    return draw_rows(rng, count, len(alphas), row_values)
 
 
 def sample_batch(spec: DiagonalChaosSpec, n: int, seed: int, workers: int | None = None, reduce=None) -> np.ndarray:

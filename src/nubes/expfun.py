@@ -23,25 +23,22 @@ are evaluated here.  Moments and bounds whose exponentials leave the float
 range raise ValueError naming a and t.  Sampling uses exact Gaussian
 increments on a uniform grid and trapezoid quadrature of the integrand; paths
 are embarrassingly parallel over fixed substream chunks (worker-scheduling
-independent).  Inside a chunk the paths are drawn and integrated in
-cache-sized row blocks, in row order, through one reused increment buffer,
-so the draws and each path's arithmetic are those of the whole chunk.  The
-closed-form evaluators are pure.
+independent).  Inside a chunk `sampling.draw_rows` draws the paths as rows
+of increments and each path is integrated from its own row, so the values
+are those of the whole chunk.  The closed-form evaluators are pure.
 """
 
 from __future__ import annotations
 
 import contextlib
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import block_rows, map_chunks, worker_count
+from .sampling import draw_rows, map_chunks, worker_count
 
 __all__ = [
-    "Scheme",
     "ExpFunParams",
     "PathConfig",
     "ExpFunMoments",
@@ -60,10 +57,6 @@ __all__ = [
 ]
 
 PATH_CHUNK = 4096  # fixed chunk size (in paths) of the parallel sampling layout
-
-
-class Scheme(enum.Enum):
-    TRAPEZOID = "trapezoid"
 
 
 @dataclass(frozen=True)
@@ -169,15 +162,12 @@ def moments(params: ExpFunParams) -> ExpFunMoments:
     return ExpFunMoments(m_t=mean_mt(params.a, params.t), sigma2_t=variance_sigma2(params.a, params.t))
 
 
-def integral_from_increments(a: float, t: float, increments: np.ndarray, scheme: Scheme) -> np.ndarray:
-    """Quadrature of exp(a s + B_s) from Brownian increments of variance t/n.
+def integral_from_increments(a: float, t: float, increments: np.ndarray) -> np.ndarray:
+    """Trapezoid quadrature of exp(a s + B_s) from Brownian increments of variance t/n.
 
     `increments` has shape (..., n_steps); the path starts at B_0 = 0 and the
-    integrand is evaluated on the node values of the cumulated path by the
-    trapezoid rule, the only scheme.
+    integrand is evaluated on the node values of the cumulated path.
     """
-    if scheme is not Scheme.TRAPEZOID:
-        raise ValueError(f"unknown scheme {scheme!r}")
     w = np.asarray(increments, dtype=float)
     n = w.shape[-1]
     step = t / n
@@ -188,18 +178,13 @@ def integral_from_increments(a: float, t: float, increments: np.ndarray, scheme:
 
 
 def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_steps: int) -> np.ndarray:
-    # one reused block of increments, filled in the chunk's draw order: out
-    # equals the quadrature of rng.standard_normal((count, n_steps)) * scale
     scale = math.sqrt(t / n_steps)
-    rows = block_rows(n_steps)
-    block = np.empty((min(rows, count), n_steps))
-    out = np.empty(count)
-    for start in range(0, count, rows):
-        w = block[: min(rows, count - start)]
-        rng.standard_normal(w.shape, out=w)
+
+    def row_values(w):
         w *= scale
-        out[start : start + len(w)] = integral_from_increments(a, t, w, Scheme.TRAPEZOID)
-    return out
+        return integral_from_increments(a, t, w)
+
+    return draw_rows(rng, count, n_steps, row_values)
 
 
 def sample_batch(

@@ -55,6 +55,7 @@ _EXP_SQUARE_U = 40.0  # e^{-u^2} underflows to 0 and e^{u^2} overflows beyond th
 # temporaries are then reused by the allocator; whole arrays of 2^14 elements
 # and more were handed back to the OS and faulted in again on every temporary.
 _BLOCK = 1 << 13
+_EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
 
 __all__ = [
     "SQRT_2PI",
@@ -235,14 +236,14 @@ def scaled_tail(x):
 
 
 def _seam_factor(z: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """exp((x^2 - z^2)/2) for |x| <= |z|.
+    """exp((x^2 - z^2)/2) for |x| <= |z|, with the exponent (x - z)(x + z)/2.
 
-    Once both squares overflow (|x|, |z| >~ 1.34e154) their difference is nan;
-    there the factor is 1 at x == z and 0 otherwise (the true exponent is
-    then below -1e292).  Wherever the difference is finite it is used as is.
+    The factored exponent has no cancellation near the seam.  x + z overflows
+    only where the exponent is then -inf, or nan at x == z, where the factor
+    is 1.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        exponent = (x**2 - z * z) / 2.0
+        exponent = (x - z) * (x + z) / 2.0
     exponent[np.isnan(exponent)] = -np.inf
     exponent[x == z] = 0.0
     return np.exp(exponent)
@@ -305,33 +306,38 @@ def stein_derivative(z, x):
     return _shaped(out, shape)
 
 
-def stein_ode_residual_fd(z, x, h: float = 5e-5):
+def stein_ode_residual_fd(z, x):
     """Residual of the Stein ODE with the derivative taken by finite differences.
 
     The derivative of f_z is estimated from values only (fourth-order central
     stencil; third-order one-sided within 3h of the seam, taken from the side
     the point is classified on), so this is an independent consistency check of
     the closed-form derivative, not a tautology.  Broadcast over z and x.
+
+    Near the seam f_z varies on the scale 1/|z|, so the step is
+    h = 5e-5 / max(1, |z|, |x|), at least 4 ulps of x and rounded to a step
+    that the floats around x can take; stencil points beyond the float range
+    are held at its end.  Past |z| ~ 1e6 the 4-ulp floor is no longer small
+    against 1/|z|, and at the seam the residual grows (-2e-4 at x = z = 1e7,
+    -0.8 at 1e8).
     """
     zv, xv, shape = _broadcast(z, x)
-    fd = np.empty_like(xv)
+    ax = np.abs(xv)
+    h = np.maximum(5e-5 / np.maximum(1.0, np.maximum(np.abs(zv), ax)), 4.0 * _EPS * ax)
+    h = ax - (ax - h)
     near = np.abs(xv - zv) <= 3.0 * h
+    far = ~near
 
-    zf, xf = zv[~near], xv[~near]
-    fd[~near] = (
-        stein_value(zf, xf - 2.0 * h)
-        - 8.0 * stein_value(zf, xf - h)
-        + 8.0 * stein_value(zf, xf + h)
-        - stein_value(zf, xf + 2.0 * h)
-    ) / (12.0 * h)
+    def f(m, k):  # f_z at x + k h on the points m
+        with np.errstate(over="ignore"):
+            return stein_value(zv[m], np.clip(xv[m] + k * h[m], -_MAX, _MAX))
 
-    zn, xn = zv[near], xv[near]
-    side = np.where(xn <= zn, -1.0, 1.0)  # one-sided stencils never cross the seam
-    f0 = stein_value(zn, xn)
-    f1 = stein_value(zn, xn + side * h)
-    f2 = stein_value(zn, xn + side * 2.0 * h)
-    f3 = stein_value(zn, xn + side * 3.0 * h)
-    fd[near] = side * (-11.0 * f0 + 18.0 * f1 - 9.0 * f2 + 2.0 * f3) / (6.0 * h)
+    fd = np.empty_like(xv)
+    fd[far] = (f(far, -2.0) - 8.0 * f(far, -1.0) + 8.0 * f(far, 1.0) - f(far, 2.0)) / (12.0 * h[far])
+    side = np.where(xv[near] <= zv[near], -1.0, 1.0)  # one-sided stencils never cross the seam
+    fd[near] = side * (
+        -11.0 * f(near, 0.0) + 18.0 * f(near, side) - 9.0 * f(near, 2.0 * side) + 2.0 * f(near, 3.0 * side)
+    ) / (6.0 * h[near])
 
     return _shaped(fd - stein_derivative(zv, xv), shape)
 

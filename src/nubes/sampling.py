@@ -7,10 +7,12 @@ count, and partial results are combined in chunk-index order, so every
 reduction is a pure function of (seed, total, chunk_size) regardless of how
 many processes execute it.
 
-Inside a chunk, the samplers draw and reduce block_rows(width) rows at a
-time from the chunk's one generator, in row order, so the draws and every
-row's arithmetic are those of the whole chunk; a block of BLOCK_NORMALS
-normals stays in a core's cache.
+Inside a chunk both samplers run `draw_rows`, the one draw loop: it draws
+block_rows(width) rows at a time, in row order, from the chunk's one
+generator into one reused buffer of about BLOCK_NORMALS normals, which stays
+in a core's cache.  The samplers compute each row's value from that row
+alone, in a fixed order and without BLAS, so the values do not depend on the
+block size, the BLAS build or its thread count.
 
 A run may reduce each chunk inside its own job (`map_chunks(..., reduce=)`):
 the job then returns an integer array instead of the samples and the run
@@ -61,6 +63,24 @@ def chunk_counts(total: int, chunk_size: int) -> list[int]:
 def block_rows(width: int) -> int:
     """Rows of `width` normals per cache-sized block (at least one)."""
     return max(1, BLOCK_NORMALS // width)
+
+
+def draw_rows(rng: np.random.Generator, count: int, width: int, row_values) -> np.ndarray:
+    """row_values(w) over `count` rows of `width` normals drawn from `rng`.
+
+    The rows are drawn in order, block_rows(width) at a time, into one reused
+    buffer w that `row_values` may overwrite; it returns one value per row of
+    w, each from that row alone, so the result equals row_values of the
+    (count, width) array drawn whole.
+    """
+    rows = block_rows(width)
+    block = np.empty((min(rows, count), width))
+    out = np.empty(count)
+    for start in range(0, count, rows):
+        w = block[: min(rows, count - start)]
+        rng.standard_normal(w.shape, out=w)
+        out[start : start + len(w)] = row_values(w)
+    return out
 
 
 def layout(total: int, chunk_size: int) -> dict:

@@ -66,9 +66,9 @@ def expfun_refinement():
         count = min(chunk, n_paths - done)
         rng = substream(REFINE_SEED, index)
         w = rng.standard_normal((count, n_fine)) * math.sqrt(step_fine)
-        f_fine[done : done + count] = expfun.integral_from_increments(a, t, w, expfun.Scheme.TRAPEZOID)
+        f_fine[done : done + count] = expfun.integral_from_increments(a, t, w)
         w_coarse = w[:, 0::2] + w[:, 1::2]
-        f_coarse[done : done + count] = expfun.integral_from_increments(a, t, w_coarse, expfun.Scheme.TRAPEZOID)
+        f_coarse[done : done + count] = expfun.integral_from_increments(a, t, w_coarse)
         done += count
         index += 1
     return {"a": a, "t": t, "fine": f_fine, "coarse": f_coarse}

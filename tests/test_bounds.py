@@ -294,6 +294,13 @@ class TestEvaluateCurve:
         with pytest.raises(ValueError):
             bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [])
 
+    def test_huge_z_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # z * z overflows past |z| ~ 1.3e154
+            curve = bounds.evaluate_curve(BoundInputs(0.0, 1e-300, exact_tail_model()), [-1e300, 0.0, 1e300])
+        assert curve.gaussian_term.tolist() == [0.0, 2.0, 0.0]
+        assert curve.bounds[0] == curve.bounds[2] == 0.0
+
 
 @st.composite
 def tail_models(draw):

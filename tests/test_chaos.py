@@ -137,9 +137,12 @@ class _FixedRng:
     def __init__(self, values):
         self._values = np.asarray(values, dtype=float)
 
-    def standard_normal(self, size):
+    def standard_normal(self, size, out=None):
         assert tuple(size) == self._values.shape
-        return self._values.copy()
+        if out is None:
+            return self._values.copy()
+        out[...] = self._values
+        return out
 
 
 class TestSampling:

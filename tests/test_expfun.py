@@ -5,7 +5,7 @@ import pytest
 
 from nubes import expfun
 from nubes.bounds import ExpFunTail, tail_probability
-from nubes.expfun import ExpFunMoments, ExpFunParams, PathConfig, Scheme
+from nubes.expfun import ExpFunMoments, ExpFunParams, PathConfig
 from oracles import expfun_mean_quad, expfun_variance_quad
 
 # high-precision reference values (mpmath, 40 digits)
@@ -108,24 +108,18 @@ class TestSampling:
     def test_zero_increments_give_deterministic_integral(self):
         # flat path, a = 0: the integrand is identically 1
         w = np.zeros(64)
-        assert abs(expfun.integral_from_increments(0.0, 0.7, w, Scheme.TRAPEZOID) - 0.7) <= 1e-15
+        assert abs(expfun.integral_from_increments(0.0, 0.7, w) - 0.7) <= 1e-15
 
     def test_two_step_trapezoid_by_hand(self):
         w1, w2 = 0.4, -0.9
-        val = expfun.integral_from_increments(0.0, 1.0, np.array([w1, w2]), Scheme.TRAPEZOID)
+        val = expfun.integral_from_increments(0.0, 1.0, np.array([w1, w2]))
         hand = 0.25 * (1.0 + 2.0 * math.exp(w1) + math.exp(w1 + w2))
         assert abs(val - hand) <= 1e-15
-
-    def test_rejects_other_schemes(self):
-        w = np.zeros(4)
-        for scheme in ("trapezoid", "left", None):
-            with pytest.raises(ValueError, match="unknown scheme"):
-                expfun.integral_from_increments(0.0, 1.0, w, scheme)
 
     def test_increments_left_unchanged(self):
         w = np.random.default_rng(4).standard_normal((3, 40)) * 0.05
         before = w.copy()
-        expfun.integral_from_increments(0.2, 0.1, w, Scheme.TRAPEZOID)
+        expfun.integral_from_increments(0.2, 0.1, w)
         assert np.array_equal(w, before)
 
     def test_consumes_exactly_n_steps(self):

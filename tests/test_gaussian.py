@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,18 @@ class TestOdeResidual:
 
     def test_residual_scalar_at_seam(self):
         assert abs(stein_ode_residual_fd(1.25, 1.25)) <= 1e-9
+
+    def test_residual_at_far_seams(self):
+        # the step shrinks like 1/|z|, the scale on which f_z varies at the seam
+        z = np.array([1e3, 1e4, 1e5, -1e3, -1e4, -1e5])
+        assert np.max(np.abs(stein_ode_residual_fd(z, z))) <= 1e-9
+
+    def test_stencil_inside_float_range(self):
+        top = np.finfo(float).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = stein_ode_residual_fd(np.array([0.0, 0.0, -top]), np.array([top, -top, -top]))
+        assert np.all(np.abs(res) <= 1e-15)
 
 
 class TestCheckLemma:

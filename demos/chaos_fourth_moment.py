@@ -35,26 +35,27 @@ print(f"sup |ECDF - exact CDF| on the grid: {sup:.4f}  (DKW 99% band: "
       f"{empirical.dkw_epsilon(n, 0.01):.4f})")
 
 # non-uniform bound with the exact tail vs the flat uniform baseline
-inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d,
-                            tail=bounds.ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1))
+inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=chaos.exact_abs_tail_q2_rank1)
 grid = np.linspace(-8.0, 8.0, 161)
 curve = bounds.evaluate_curve(inputs, grid)
 uniform = bounds.uniform_bound(inputs)
 below = np.abs(grid)[curve.bounds < uniform]
 print(f"\nuniform baseline: {uniform:.4f}")
 print(f"non-uniform bound drops below it for |z| >= {below.min():.2f} (crossover z*)")
-for z in (0.0, 2.0, 4.0, 6.0, 8.0):
-    print(f"  z={z:3.0f}: bound={bounds.nonuniform_bound(inputs, z):.6f}")
+table_z = [0.0, 2.0, 4.0, 6.0, 8.0]
+for z, b in zip(table_z, bounds.evaluate_curve(inputs, table_z).bounds):
+    print(f"  z={z:3.0f}: bound={b:.6f}")
 
 # the same certification the CLI performs, here in-process
 report = empirical.certify(empirical.discrepancy_curve(ecdf, grid), curve.bounds, k=3.0)
 print(f"\ncertification with slack k=3: violations={report.n_violations} "
       f"(exit status {report.exit_status})")
 
-# chaos concentration constant: smallest c making the exponential tail hold
-c = bounds.calibrate_major_constant(samples, q=2, xs=np.linspace(0.0, 8.0, 33))
-print(f"calibrated concentration constant on the sampled range (diagnostic "
-      f"only, not rigorous): c = {c:.3f}")
+# chaos concentration P(|F| > x) <= c^2 e^{-x/2}: the exact tail holds it with
+# c = 1, tight at x = 0
+xs = np.linspace(0.0, 60.0, 6001)
+c = math.sqrt(np.max(chaos.exact_abs_tail_q2_rank1(xs) * np.exp(xs / 2.0)))
+print(f"concentration constant from the exact tail on [0, 60]: c = {c}")
 major = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=bounds.MajorChaosTail(q=2, c_q=c))
 print(f"displayed chaos bound with that c at z=4: "
-      f"{bounds.nonuniform_bound(major, 4.0):.6f}")
+      f"{bounds.evaluate_curve(major, [4.0]).bounds[0]:.6f}")

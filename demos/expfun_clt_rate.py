@@ -23,9 +23,9 @@ print(f"  m_t     = {m.m_t:.10f}   (m_t/t -> 1:   {m.m_t / t:.6f})")
 print(f"  sigma^2 = {m.sigma2_t:.6e}   (3 sigma^2/t^3 -> 1: {3 * m.sigma2_t / t**3:.6f})")
 
 n_paths = 100_000
-cfg = expfun.PathConfig(n_steps=expfun.default_n_steps(t))
-print(f"\nsampling {n_paths} paths at {cfg.n_steps} steps (trapezoid) ...")
-f = expfun.sample_batch(params, cfg, n_paths, seed=12)
+n_steps = expfun.default_n_steps(t)
+print(f"\nsampling {n_paths} paths at {n_steps} steps (trapezoid) ...")
+f = expfun.sample_batch(params, n_steps, n_paths, seed=12)
 print(f"  MC mean  {f.mean():.8f}  vs closed form {m.m_t:.8f}")
 print(f"  MC var   {f.var(ddof=1):.4e}  vs closed form {m.sigma2_t:.4e}")
 

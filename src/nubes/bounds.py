@@ -9,11 +9,16 @@ the Skorokhod-integrand form; the arithmetic is identical and only the
 provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
 exact absolute tail, Markov, chaos concentration, exponential-functional
 concentration, empirical (the plug-in tail of either ECDF, sorted samples or
-streamed counts at thresholds), or the constant 1.  A tail model is a callable from an array
-of x >= 0 to an array of tail values; `tail_probability` validates x and clamps
-the values to [0, 1] (clamping only tightens the bound since the modeled
-quantity is a probability).  `evaluate_curve` is one array expression over
-the whole grid and returns the columnar `BoundCurve`.
+streamed counts at thresholds), or the constant 1.  A tail is any callable from
+an array of x >= 0 to an array of tail values: the parametric ones here are
+`TailModel` subclasses, and an exact tail is its law's function itself, such as
+`chaos.exact_abs_tail_q2_rank1`.  An exact tail should compute P(|F| > x)
+directly: the form 1 - cdf(x) + cdf(-x) cancels to an absolute error of about
+1e-16, so it loses the tail's relative accuracy as the tail shrinks and reads
+0 once the tail is below that.  `tail_probability` validates x and clamps the
+values to [0, 1] (clamping only tightens the bound since the modeled quantity
+is a probability).  `evaluate_curve` is one array expression over the whole
+grid and returns the columnar `BoundCurve`.
 
 The chaos bound for a variance-one multiple Wiener-Ito integral of order
 q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
@@ -45,16 +50,13 @@ __all__ = [
     "UnitTail",
     "MarkovTail",
     "MajorChaosTail",
-    "ExactTail",
     "EmpiricalTail",
     "ExpFunTail",
     "BoundInputs",
     "BoundCurve",
     "tail_probability",
-    "nonuniform_bound",
     "uniform_bound",
     "evaluate_curve",
-    "calibrate_major_constant",
 ]
 
 
@@ -112,22 +114,6 @@ class MajorChaosTail(TailModel):
 
 
 @dataclass(frozen=True)
-class ExactTail(TailModel):
-    """Exact two-sided tail P(|F| > x) of a law, from its `abs_tail` callable on arrays.
-
-    `abs_tail` should compute the tail directly, such as
-    `chaos.exact_abs_tail_q2_rank1`: the form 1 - cdf(x) + cdf(-x) cancels
-    to an absolute error of about 1e-16, so it loses the tail's relative
-    accuracy as the tail shrinks and reads 0 once the tail is below that.
-    """
-
-    abs_tail: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.abs_tail(x)
-
-
-@dataclass(frozen=True)
 class EmpiricalTail(TailModel):
     """Plug-in tail 1 - #{-x <= s <= x}/n of an ECDF.
 
@@ -158,20 +144,7 @@ class ExpFunTail(TailModel):
         return expfun.upper_tail_bound(x, self.params, self.moments) + expfun.lower_tail_bound(x)
 
 
-def calibrate_major_constant(samples: np.ndarray, q: int, xs) -> float:
-    """Smallest c with empirical P(|F| > x) <= c^2 exp(-x^{2/q}/2) on the xs grid.
-
-    Diagnostic only: the calibrated constant is a sample quantity on a finite
-    range, not a proof of the concentration inequality.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs < 0.0):
-        raise ValueError("calibration grid must be nonnegative")
-    c_sq = EmpiricalTail.from_samples(samples)(xs) * np.exp(xs ** (2.0 / q) / 2.0)
-    return float(np.sqrt(np.max(c_sq)))
-
-
-def tail_probability(model: TailModel, x):
+def tail_probability(model: Callable[[np.ndarray], np.ndarray], x):
     """Evaluate a tail model at x >= 0 (scalar or array), clamped into [0, 1]."""
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa) & (xa >= 0.0)):
@@ -184,11 +157,12 @@ def tail_probability(model: TailModel, x):
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """(|E F|, Stein discrepancy, tail model) parameterizing the bound."""
+    """(|E F|, Stein discrepancy, tail) parameterizing the bound; the tail maps
+    an array of x >= 0 to P(|F| > x) or an upper bound for it."""
 
     mean_abs: float
     stein_discrepancy: float
-    tail: TailModel
+    tail: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if not (math.isfinite(self.mean_abs) and self.mean_abs >= 0.0):
@@ -197,8 +171,8 @@ class BoundInputs:
             raise ValueError(
                 f"stein_discrepancy must be finite and >= 0, got {self.stein_discrepancy}"
             )
-        if not isinstance(self.tail, TailModel):
-            raise ValueError(f"tail must be a TailModel, got {type(self.tail)!r}")
+        if not callable(self.tail):
+            raise ValueError(f"tail must be callable, got {type(self.tail)!r}")
 
 
 @dataclass(frozen=True)
@@ -209,11 +183,6 @@ class BoundCurve:
     tail_term: np.ndarray  # P(|F| > |z|/2), before the square root
     gaussian_term: np.ndarray  # 2 e^{-z^2/4}
     bounds: np.ndarray
-
-
-def nonuniform_bound(inputs: BoundInputs, z: float) -> float:
-    """(|E F| + d) * (sqrt(tail(|z|/2)) + 2 e^{-z^2/4}); even in z."""
-    return float(evaluate_curve(inputs, [z]).bounds[0])
 
 
 def uniform_bound(inputs: BoundInputs) -> float:

@@ -18,7 +18,9 @@ choices (checked for flag and file values alike) and the order of the JSON
 "parameters" echo.  Ranges the library checks are left to it; the CLI checks
 only the grids, the output, the options a tail model requires, slack-k
 (certify sees it only after sampling) and workers (two scenarios never
-sample), all before any sampling starts.
+sample), all before any sampling starts.  `--tail exact` is the tail of the
+rank-one q=2 chaos, `chaos.exact_abs_tail_q2_rank1`; both scenarios that take
+it reject another q or rank when they start.
 
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
@@ -133,7 +135,7 @@ _FLAGS = {
         "mean-abs": (float, 0.0, "|E F| input of the bound"),
         "discrepancy": (float, None, "Stein discrepancy input of the bound (required)"),
         "tail": (("exact", "markov", "major", "expfun", "unit"), "unit", "tail model"),
-        "q": (int, 2, "chaos order for --tail major"),
+        "q": (int, 2, "chaos order for --tail major (--tail exact requires 2)"),
         **_TAIL_CONSTANTS, **_EXPFUN,
     },
 }
@@ -325,11 +327,14 @@ def _run_stein_check(cfg: dict) -> int:
     return 0 if all_ok else 2
 
 
-def _tail_model(cfg: dict) -> bounds.TailModel | None:
-    """The tail model cfg names; None for empirical, which is built from the run's counts."""
+def _tail_model(cfg: dict):
+    """The tail cfg names, a callable on arrays of x >= 0; None for empirical,
+    which is built from the run's counts."""
     kind = cfg["tail"]
     if kind == "exact":
-        return bounds.ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1)
+        if not (cfg["q"] == 2 and len(_parse_alphas(cfg.get("alphas", "1"))) == 1):
+            raise UsageError("--tail exact requires the rank-one q=2 chaos (--q 2 --alphas <one value>)")
+        return chaos.exact_abs_tail_q2_rank1
     if kind == "markov":
         return bounds.MarkovTail(p=cfg["markov-p"], moment_p=cfg["markov-moment"])
     if kind == "major":
@@ -362,8 +367,6 @@ def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
 
 def _run_chaos_compare(cfg: dict) -> int:
     spec = chaos.normalize(chaos.DiagonalChaosSpec(q=cfg["q"], alphas=_parse_alphas(cfg["alphas"])))
-    if cfg["tail"] == "exact" and not (spec.q == 2 and len(spec.alphas) == 1):
-        raise UsageError("--tail exact requires the rank-one q=2 chaos (--q 2 --alphas <one value>)")
     tail = _tail_model(cfg)
     m4 = chaos.fourth_moment(spec)
     d = chaos.stein_discrepancy_upper(m4, spec.q)
@@ -382,14 +385,13 @@ def _run_chaos_compare(cfg: dict) -> int:
 def _run_expfun_compare(cfg: dict) -> int:
     params = expfun.ExpFunParams(a=cfg["a"], t=cfg["t"])
     n_steps = cfg["n-steps"] if cfg["n-steps"] is not None else expfun.default_n_steps(params.t)
-    path_cfg = expfun.PathConfig(n_steps=n_steps)
     m = expfun.moments(params)
     summary = {"m_t": m.m_t, "sigma2_t": m.sigma2_t, "n_steps": n_steps,
                "uniform_bound": math.sqrt(expfun.discrepancy_sq_upper(params, m)), "violations": None,
                "note": "bound targets the exact law; sampled paths carry unquantified discretization bias",
                "sampling": sampling.layout(cfg["samples"], expfun.PATH_CHUNK), "numpy": np.__version__}
     sample_batch = functools.partial(
-        expfun.sample_batch, params, path_cfg, cfg["samples"], cfg["seed"], workers=cfg["workers"]
+        expfun.sample_batch, params, n_steps, cfg["samples"], cfg["seed"], workers=cfg["workers"]
     )
     standardize = functools.partial(expfun.standardize, m=m)
     return _compare(cfg, sample_batch, standardize, lambda zs, _: expfun.clt_rate_bound(params, m, zs), summary)

@@ -40,7 +40,6 @@ from .sampling import draw_rows, map_chunks, worker_count
 
 __all__ = [
     "ExpFunParams",
-    "PathConfig",
     "ExpFunMoments",
     "default_n_steps",
     "mean_mt",
@@ -71,18 +70,6 @@ class ExpFunParams:
             raise ValueError(f"a and t must be finite, got a={self.a}, t={self.t}")
         if self.t <= 0.0:
             raise ValueError(f"t must be > 0, got {self.t}")
-
-
-@dataclass(frozen=True)
-class PathConfig:
-    """Uniform-grid discretization: the cell count of the trapezoid rule."""
-
-    n_steps: int
-
-    def __post_init__(self):
-        if int(self.n_steps) != self.n_steps or self.n_steps < 2:
-            raise ValueError(f"n_steps must be an integer >= 2, got {self.n_steps}")
-        object.__setattr__(self, "n_steps", int(self.n_steps))
 
 
 @dataclass(frozen=True)
@@ -188,15 +175,18 @@ def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_step
 
 
 def sample_batch(
-    params: ExpFunParams, cfg: PathConfig, n_paths: int, seed: int, workers: int | None = None, reduce=None
+    params: ExpFunParams, n_steps: int, n_paths: int, seed: int, workers: int | None = None, reduce=None
 ) -> np.ndarray:
-    """n_paths realizations on the fixed substream layout of PATH_CHUNK paths
-    per chunk (worker-count invariant; every usable CPU by default).
+    """n_paths realizations, each the trapezoid rule on n_steps >= 2 cells, on
+    the fixed substream layout of PATH_CHUNK paths per chunk (worker-count
+    invariant; every usable CPU by default).
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
-    args = (params.a, params.t, cfg.n_steps)
+    if int(n_steps) != n_steps or n_steps < 2:
+        raise ValueError(f"n_steps must be an integer >= 2, got {n_steps}")
+    args = (params.a, params.t, int(n_steps))
     return map_chunks(_path_chunk, args, seed, n_paths, PATH_CHUNK, worker_count(workers), reduce)
 
 

@@ -269,28 +269,24 @@ def _per_run(kernel, z: np.ndarray) -> np.ndarray:
 def stein_value(z, x):
     """f_z(x), broadcast over z and x, with no intermediate overflow.
 
-    Each quadrant below multiplies quantities that are individually bounded:
-    scaled_tail at a nonnegative argument (<= sqrt(2*pi)/2), a CDF/tail factor
-    in [0, 1], and where needed exp((x^2 - z^2)/2) with a nonpositive exponent.
-    The factors of z alone are evaluated once per run of equal z, which on a
-    (z, x) grid is once per z.  Returns a float when z and x are both scalars.
+    A point above the seam is reflected below it, f_z(x) = f_{-z}(-x) for
+    x > z, so that two branches cover the plane.  Each multiplies quantities
+    that are individually bounded: scaled_tail at a nonnegative argument
+    (<= sqrt(2*pi)/2), a CDF/tail factor in [0, 1], and where needed
+    exp((x^2 - z^2)/2) with a nonpositive exponent.  The factors of z alone
+    are evaluated once per run of equal z, which on a (z, x) grid is once per
+    z.  Returns a float when z and x are both scalars.
     """
     zv, xv, shape = _broadcast(z, x)
+    lower = xv <= zv
+    zr, xr = np.where(lower, zv, -zv), np.where(lower, xv, -xv)
     out = np.empty_like(xv)
 
-    lower = xv <= zv
-    neg = xv <= 0.0
-
-    m = lower & neg  # x <= min(z, 0): scaled_tail(-x) bounded, tail(z) in [0,1]
-    out[m] = scaled_tail(-xv[m]) * _per_run(normal_tail, zv[m])
-    m = lower & ~neg  # 0 < x <= z: anchor at the seam, exponent <= 0
-    zm = zv[m]
-    out[m] = _per_run(scaled_tail, zm) * _seam_factor(zm, xv[m]) * normal_cdf(xv[m])
-    m = ~lower & ~neg  # x > max(z, 0)
-    out[m] = scaled_tail(xv[m]) * _per_run(normal_cdf, zv[m])
-    m = ~lower & neg  # z < x <= 0: |x| <= |z| so the exponent is <= 0
-    zm = zv[m]
-    out[m] = _per_run(scaled_tail, -zm) * _seam_factor(zm, xv[m]) * normal_tail(xv[m])
+    m = lower == (xv <= 0.0)  # xr <= min(zr, 0), x = 0 on its side: scaled_tail(-xr) bounded, tail(zr) in [0,1]
+    out[m] = scaled_tail(-xr[m]) * _per_run(normal_tail, zr[m])
+    m = ~m  # 0 <= xr <= zr: anchor at the seam, exponent <= 0
+    zm = zr[m]
+    out[m] = _per_run(scaled_tail, zm) * _seam_factor(zm, xr[m]) * normal_cdf(xr[m])
 
     return _shaped(out, shape)
 

@@ -34,17 +34,15 @@ def chaos_q2_samples_1m(q2_rank1_spec):
 @pytest.fixture(scope="session")
 def expfun_t01():
     params = expfun.ExpFunParams(a=0.0, t=0.1)
-    cfg = expfun.PathConfig(n_steps=2000)
-    f = expfun.sample_batch(params, cfg, 1_000_000, seed=EXPFUN_SEED_T01, workers=WORKERS)
-    return {"params": params, "cfg": cfg, "moments": expfun.moments(params), "f": f}
+    f = expfun.sample_batch(params, 2000, 1_000_000, seed=EXPFUN_SEED_T01, workers=WORKERS)
+    return {"params": params, "moments": expfun.moments(params), "f": f}
 
 
 @pytest.fixture(scope="session")
 def expfun_t005():
     params = expfun.ExpFunParams(a=0.0, t=0.05)
-    cfg = expfun.PathConfig(n_steps=1000)
-    f = expfun.sample_batch(params, cfg, 1_000_000, seed=EXPFUN_SEED_T005, workers=WORKERS)
-    return {"params": params, "cfg": cfg, "moments": expfun.moments(params), "f": f}
+    f = expfun.sample_batch(params, 1000, 1_000_000, seed=EXPFUN_SEED_T005, workers=WORKERS)
+    return {"params": params, "moments": expfun.moments(params), "f": f}
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ from nubes import bounds, chaos, expfun
 from nubes.bounds import (
     BoundInputs,
     EmpiricalTail,
-    ExactTail,
     ExpFunTail,
     MajorChaosTail,
     MarkovTail,
@@ -21,10 +20,12 @@ SQRT2 = math.sqrt(2.0)
 # exact two-sided tail of the rank-one q=2 law at x = 2 (mpmath, 40 digits)
 P_ABS_GT_2 = 0.05039019849432359
 BOUND_Z4_EXACT_TAIL = 0.36926373382554775
+EXACT = chaos.exact_abs_tail_q2_rank1  # an exact tail is the law's own function
 
 
-def exact_tail_model():
-    return ExactTail(abs_tail=chaos.exact_abs_tail_q2_rank1)
+def bound_at(inputs: BoundInputs, z: float) -> float:
+    """The bound at one z: the one-point curve."""
+    return float(bounds.evaluate_curve(inputs, [z]).bounds[0])
 
 
 class TestTailModels:
@@ -50,7 +51,7 @@ class TestTailModels:
         assert bounds.tail_probability(m, 0.0) == 1.0
 
     def test_exact_tail(self):
-        m = exact_tail_model()
+        m = EXACT
         assert bounds.tail_probability(m, 0.0) == 1.0
         assert abs(bounds.tail_probability(m, 2.0) / P_ABS_GT_2 - 1.0) <= 1e-13
 
@@ -79,7 +80,7 @@ class TestTailModels:
                 UnitTail(),
                 MarkovTail(p=float(rng.uniform(0.5, 8)), moment_p=float(rng.uniform(0, 100))),
                 MajorChaosTail(q=int(rng.integers(2, 6)), c_q=float(rng.uniform(0.1, 10))),
-                exact_tail_model(),
+                EXACT,
                 EmpiricalTail.from_samples(rng.standard_normal(500)),
                 ExpFunTail(params=params, moments=expfun.moments(params)),
             ]
@@ -112,46 +113,56 @@ class TestBoundInputs:
             BoundInputs(mean_abs=-0.1, stein_discrepancy=1.0, tail=UnitTail())
         with pytest.raises(ValueError):
             BoundInputs(mean_abs=0.0, stein_discrepancy=math.inf, tail=UnitTail())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="callable"):
             BoundInputs(mean_abs=0.0, stein_discrepancy=1.0, tail="unit")
+        with pytest.raises(ValueError, match="callable"):
+            BoundInputs(mean_abs=0.0, stein_discrepancy=1.0, tail=0.5)
+
+    def test_plain_function_tail(self):
+        # any callable from an array of x >= 0 to tail values is a tail
+        inputs = BoundInputs(mean_abs=0.5, stein_discrepancy=1.0, tail=lambda x: 4.0 * np.exp(-x))
+        curve = bounds.evaluate_curve(inputs, [0.0, 4.0, -8.0])
+        assert curve.tail_term[0] == 1.0  # clamped from 4
+        assert np.allclose(curve.tail_term[1:], [4.0 * math.exp(-2.0), 4.0 * math.exp(-4.0)], rtol=1e-15, atol=0.0)
+        assert abs(curve.bounds[1] - 1.5 * (2.0 * math.exp(-1.0) + 2.0 * math.exp(-4.0))) <= 1e-15
 
 
 class TestNonuniformBound:
     def test_unit_tail_at_zero(self):
         inputs = BoundInputs(0.0, SQRT2, UnitTail())
-        assert abs(bounds.nonuniform_bound(inputs, 0.0) - 3.0 * SQRT2) <= 1e-15
+        assert abs(bound_at(inputs, 0.0) - 3.0 * SQRT2) <= 1e-15
 
     def test_exact_tail_at_z4(self):
-        inputs = BoundInputs(0.0, SQRT2, exact_tail_model())
+        inputs = BoundInputs(0.0, SQRT2, EXACT)
         expected = SQRT2 * (math.sqrt(P_ABS_GT_2) + 2.0 * math.exp(-4.0))
-        val = bounds.nonuniform_bound(inputs, 4.0)
+        val = bound_at(inputs, 4.0)
         assert abs(val / BOUND_Z4_EXACT_TAIL - 1.0) <= 1e-13
         assert abs(val - expected) <= 1e-14
 
     def test_even_in_z(self):
-        inputs = BoundInputs(0.3, 1.1, exact_tail_model())
+        inputs = BoundInputs(0.3, 1.1, EXACT)
         for z in (3.7, 0.0, 1.2):
-            assert bounds.nonuniform_bound(inputs, z) == bounds.nonuniform_bound(inputs, -z)
+            assert bound_at(inputs, z) == bound_at(inputs, -z)
 
     def test_dominance(self):
         inputs = BoundInputs(0.2, 0.9, MarkovTail(p=6.0, moment_p=15.0))
         for z in np.linspace(-10, 10, 41):
             floor = (0.2 + 0.9) * 2.0 * math.exp(-z * z / 4.0)
-            assert bounds.nonuniform_bound(inputs, float(z)) >= floor
+            assert bound_at(inputs, float(z)) >= floor
         # equality exactly when the tail term is zero (empirical tail beyond max)
         emp = BoundInputs(0.2, 0.9, EmpiricalTail.from_samples([1.0, -2.0]))
         z = 10.0
         floor = (0.2 + 0.9) * 2.0 * math.exp(-z * z / 4.0)
-        assert bounds.nonuniform_bound(emp, z) == floor
+        assert bound_at(emp, z) == floor
 
     def test_monotone_in_inputs(self):
         tail = MarkovTail(p=6.0, moment_p=15.0)
         z = 2.5
-        base = bounds.nonuniform_bound(BoundInputs(0.1, 1.0, tail), z)
-        assert bounds.nonuniform_bound(BoundInputs(0.2, 1.0, tail), z) >= base
-        assert bounds.nonuniform_bound(BoundInputs(0.1, 1.5, tail), z) >= base
+        base = bound_at(BoundInputs(0.1, 1.0, tail), z)
+        assert bound_at(BoundInputs(0.2, 1.0, tail), z) >= base
+        assert bound_at(BoundInputs(0.1, 1.5, tail), z) >= base
         heavier = MarkovTail(p=6.0, moment_p=30.0)  # pointwise larger tail
-        assert bounds.nonuniform_bound(BoundInputs(0.1, 1.0, heavier), z) >= base
+        assert bound_at(BoundInputs(0.1, 1.0, heavier), z) >= base
 
     def test_zero_inputs_zero_curve(self):
         inputs = BoundInputs(0.0, 0.0, UnitTail())
@@ -160,7 +171,7 @@ class TestNonuniformBound:
 
     def test_rejects_non_finite_z(self):
         with pytest.raises(ValueError):
-            bounds.nonuniform_bound(BoundInputs(0.0, 1.0, UnitTail()), math.inf)
+            bound_at(BoundInputs(0.0, 1.0, UnitTail()), math.inf)
         with pytest.raises(ValueError, match="finite"):
             bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [0.0, math.nan])
 
@@ -180,7 +191,7 @@ class TestChaosBound:
     """The chaos bound is `evaluate_curve` with `MajorChaosTail`."""
 
     def test_q2_at_zero(self):
-        assert abs(bounds.nonuniform_bound(chaos_inputs(2, 15.0, 1.0), 0.0) - 3.0 * SQRT2) <= 1e-14
+        assert abs(bound_at(chaos_inputs(2, 15.0, 1.0), 0.0) - 3.0 * SQRT2) <= 1e-14
 
     def test_vanishing_discrepancy(self):
         curve = bounds.evaluate_curve(chaos_inputs(2, 3.0, 5.0), [-3.0, 0.0, 7.7])
@@ -197,7 +208,7 @@ class TestChaosBound:
     def test_first_factor_is_discrepancy_upper(self):
         for q, m4 in ((2, 15.0), (3, 9.0), (5, 4.2)):
             d = chaos.stein_discrepancy_upper(m4, q)
-            val = bounds.nonuniform_bound(chaos_inputs(q, m4, 1.0), 0.0)
+            val = bound_at(chaos_inputs(q, m4, 1.0), 0.0)
             assert abs(val - d * (1.0 + 2.0)) <= 1e-12
 
     def test_rejects_invalid(self):
@@ -240,7 +251,7 @@ class TestUniformBound:
         # the baseline is the factor |E F| + d of every bound value
         inputs = BoundInputs(0.7, SQRT2, UnitTail())
         assert bounds.uniform_bound(inputs) == 0.7 + SQRT2
-        assert bounds.nonuniform_bound(inputs, 0.0) == bounds.uniform_bound(inputs) * 3.0
+        assert bound_at(inputs, 0.0) == bounds.uniform_bound(inputs) * 3.0
 
     def test_equals_chaos_first_factor(self):
         d = chaos.stein_discrepancy_upper(15.0, 2)
@@ -254,10 +265,10 @@ class TestEvaluateCurve:
         curve = bounds.evaluate_curve(inputs, [0.0])
         for column in (curve.z, curve.tail_term, curve.gaussian_term, curve.bounds):
             assert column.shape == (1,)
-        assert curve.bounds[0] == bounds.nonuniform_bound(inputs, 0.0)
+        assert curve.bounds[0] == 3.0 * SQRT2
 
     def test_symmetric_grid(self):
-        inputs = BoundInputs(0.0, SQRT2, exact_tail_model())
+        inputs = BoundInputs(0.0, SQRT2, EXACT)
         curve = bounds.evaluate_curve(inputs, [-1.0, 1.0])
         assert curve.bounds[0] == curve.bounds[1]
 
@@ -271,7 +282,7 @@ class TestEvaluateCurve:
             assert abs(bound - recomposed) <= 1e-15
 
     def test_crossover_below_uniform(self):
-        inputs = BoundInputs(0.0, SQRT2, exact_tail_model())
+        inputs = BoundInputs(0.0, SQRT2, EXACT)
         grid = np.linspace(-8, 8, 161)
         curve = bounds.evaluate_curve(inputs, grid)
         b = curve.bounds
@@ -297,7 +308,7 @@ class TestEvaluateCurve:
     def test_huge_z_without_warnings(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # z * z overflows past |z| ~ 1.3e154
-            curve = bounds.evaluate_curve(BoundInputs(0.0, 1e-300, exact_tail_model()), [-1e300, 0.0, 1e300])
+            curve = bounds.evaluate_curve(BoundInputs(0.0, 1e-300, EXACT), [-1e300, 0.0, 1e300])
         assert curve.gaussian_term.tolist() == [0.0, 2.0, 0.0]
         assert curve.bounds[0] == curve.bounds[2] == 0.0
 
@@ -313,7 +324,7 @@ def tail_models(draw):
     if kind == "major":
         return MajorChaosTail(q=draw(st.integers(2, 6)), c_q=draw(st.floats(0.1, 10.0)))
     if kind == "exact":
-        return exact_tail_model()
+        return EXACT
     if kind == "empirical":
         samples = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40))
         return EmpiricalTail.from_samples(samples)
@@ -334,7 +345,7 @@ class TestVectorizedEqualsScalar:
         curve = bounds.evaluate_curve(inputs, grid)
         assert curve.z.tolist() == grid
         for i, z in enumerate(grid):
-            assert curve.bounds[i] == bounds.nonuniform_bound(inputs, z)
+            assert curve.bounds[i] == bound_at(inputs, z)
 
     @settings(max_examples=300, deadline=None)
     @given(tail_models(), _grids)

@@ -324,12 +324,9 @@ class TestDistributionalProperties:
                 se = prod.std(ddof=1) / math.sqrt(prod.size)
                 assert abs(prod.mean() - target) <= 4.0 * se
 
-    def test_major_tail_calibration_exists(self, chaos_q2_samples_1m):
-        xs = np.linspace(0.0, 8.0, 33)
-        c = bounds.calibrate_major_constant(chaos_q2_samples_1m, q=2, xs=xs)
-        assert math.isfinite(c) and 0.0 < c < 100.0
-        ecdf_abs = np.sort(np.abs(chaos_q2_samples_1m))
-        n = ecdf_abs.size
-        p_hat = 1.0 - np.searchsorted(ecdf_abs, xs, side="right") / n
-        bound = np.minimum(1.0, c**2 * np.exp(-(xs ** (2.0 / 2)) / 2.0))
-        assert np.all(p_hat <= bound + 1e-12)
+    def test_exact_tail_major_constant_is_one(self):
+        # rank one, q = 2: the concentration c^2 e^{-x/2} holds with c = 1, tight at x = 0
+        xs = np.linspace(0.0, 60.0, 6001)
+        ratio = chaos.exact_abs_tail_q2_rank1(xs) * np.exp(xs / 2.0)
+        assert ratio[0] == 1.0
+        assert np.all(ratio <= 1.0)

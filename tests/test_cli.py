@@ -435,6 +435,25 @@ def test_tail_requirements_checked_before_sampling(args, name, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bound-only", "--discrepancy", "1", "--tail", "exact", "--q", "3"],
+        ["chaos-compare", "--tail", "exact", "--q", "3", "--samples", "100"],
+        ["chaos-compare", "--tail", "exact", "--alphas", "1,0.5", "--samples", "100"],
+    ],
+    ids=["bound-only-q3", "chaos-compare-q3", "chaos-compare-rank2"],
+)
+def test_exact_tail_only_for_the_rank_one_q2_law(args, tmp_path, capsys):
+    # the exact tail is that of one law; another q or rank must not borrow it
+    out = tmp_path / "x.csv"
+    assert run_cli([*args, "--output", out]) == 1
+    assert capsys.readouterr().err == (
+        "nubes: error: --tail exact requires the rank-one q=2 chaos (--q 2 --alphas <one value>)\n"
+    )
+    assert not out.exists()
+
+
 def test_chaos_compare_is_scale_invariant(tmp_path):
     # normalize divides by max|alpha| first, so the scale of the input cancels exactly
     outputs = []
@@ -493,7 +512,7 @@ def test_streamed_expfun_rows_equal_in_memory_rows(workers, tmp_path):
     assert run_cli(args) == 0
     params = expfun.ExpFunParams(a=-1.0, t=1.0)
     m = expfun.moments(params)
-    f = expfun.sample_batch(params, expfun.PathConfig(n_steps=20), 5000, seed=6)
+    f = expfun.sample_batch(params, 20, 5000, seed=6)
     zs = np.linspace(-5.0, 5.0, 41)
     uniform = math.sqrt(expfun.discrepancy_sq_upper(params, m))
     expected = _in_memory_rows(zs, expfun.standardize(f, m), expfun.clt_rate_bound(params, m, zs), uniform)

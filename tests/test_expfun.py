@@ -5,7 +5,7 @@ import pytest
 
 from nubes import expfun
 from nubes.bounds import ExpFunTail, tail_probability
-from nubes.expfun import ExpFunMoments, ExpFunParams, PathConfig
+from nubes.expfun import ExpFunMoments, ExpFunParams
 from oracles import expfun_mean_quad, expfun_variance_quad
 
 # high-precision reference values (mpmath, 40 digits)
@@ -29,8 +29,10 @@ class TestParams:
             ExpFunParams(a=0.0, t=-1.0)
         with pytest.raises(ValueError):
             ExpFunParams(a=math.nan, t=1.0)
-        with pytest.raises(ValueError):
-            PathConfig(n_steps=1)
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
+            expfun.sample_batch(ExpFunParams(a=0.0, t=0.1), 1, 10, seed=0, workers=1)
+        with pytest.raises(ValueError, match="n_steps must be an integer >= 2"):
+            expfun.sample_batch(ExpFunParams(a=0.0, t=0.1), 2.5, 10, seed=0, workers=1)
 
     def test_default_n_steps(self):
         assert expfun.default_n_steps(0.1) == 2000
@@ -134,9 +136,8 @@ class TestSampling:
 
     def test_batch_matches_worker_counts(self):
         params = ExpFunParams(a=0.0, t=0.05)
-        cfg = PathConfig(n_steps=50)
-        one = expfun.sample_batch(params, cfg, 9000, seed=2, workers=1)
-        two = expfun.sample_batch(params, cfg, 9000, seed=2, workers=2)
+        one = expfun.sample_batch(params, 50, 9000, seed=2, workers=1)
+        two = expfun.sample_batch(params, 50, 9000, seed=2, workers=2)
         assert np.array_equal(one, two)
 
     def test_positivity_and_support(self, expfun_t005):

@@ -149,8 +149,7 @@ class TestMapChunks:
         pools.cpus = 2
         rank1 = chaos.normalize(chaos.DiagonalChaosSpec(q=2, alphas=(1.0,)))
         chaos.sample_batch(rank1, chaos.SAMPLE_CHUNK + 1, seed=3)
-        expfun.sample_batch(expfun.ExpFunParams(a=0.0, t=0.05), expfun.PathConfig(n_steps=4),
-                            expfun.PATH_CHUNK + 1, seed=3)
+        expfun.sample_batch(expfun.ExpFunParams(a=0.0, t=0.05), 4, expfun.PATH_CHUNK + 1, seed=3)
         assert pools.sizes == [2, 2]
 
     def test_one_worker_starts_no_pool(self, monkeypatch):

@@ -2,30 +2,28 @@
 
     F_t = integral_0^t exp(a s + B_s) ds,   t > 0, a real.
 
-Closed-form moments (derived by Fubini and the lognormal moment
-E exp(B_s + B_u) = exp((s + u + 2 min(s, u))/2), and validated against
-independent quadrature oracles in the tests):
+Its moments are divided differences of x -> e^{xt} (Fubini and the lognormal
+moment E exp(B_s + B_u) = exp((s + u + 2 min(s, u))/2); Yor 1992):
 
-    m_t    = E F_t   = iexp(a + 1/2, t)
-    E F_t^2          = 2/(a + 3/2) * (iexp(2a + 2, t) - iexp(a + 1/2, t))
-    sigma_t^2        = E F_t^2 - m_t^2
+    m_t       = E F_t   = e^{xt}[0, a + 1/2]
+    sigma_t^2 = Var F_t = 2 e^{xt}[0, a + 1/2, 2a + 1, 2a + 2]
 
-where iexp(lam, t) = (e^{lam t} - 1)/lam, evaluated through expm1 so the
-removable singularities at lam = 0 (a = -1/2 in the mean, a = -1 in the
-second moment) cost no precision.  The remaining removable singularity at
-a = -3/2 is genuinely ill-conditioned (the bracket vanishes against the
-1/(a + 3/2) prefactor) and switches to a series branch.
+sigma_t^2 integrates the positive covariance kernel e^{(a+1/2)(s+u)}
+(e^{min(s,u)} - 1) over the simplex; it is never E F_t^2 - m_t^2.  One kernel
+evaluates both, also at the coincident nodes of a = -1/2, -1 and -3/2.
 
 Standardized, F~_t = (F_t - m_t)/sigma_t satisfies one-sided concentration
 bounds and an explicit non-uniform normal-approximation rate whose prefactor
 is the square root of a second-moment bound on the Stein discrepancy; both
-are evaluated here.  Moments and bounds whose exponentials leave the float
-range raise ValueError naming a and t.  Sampling uses exact Gaussian
-increments on a uniform grid and trapezoid quadrature of the integrand; paths
-are embarrassingly parallel over fixed substream chunks (worker-scheduling
-independent).  Inside a chunk `sampling.draw_rows` draws the paths as rows
-of increments and each path is integrated from its own row, so the values
-are those of the whole chunk.  The closed-form evaluators are pure.
+are evaluated here.  Moments and bounds whose exponentials overflow, or
+whose moments underflow the normal float range, raise ValueError naming a
+and t.  Sampling
+uses exact Gaussian increments on a uniform grid and trapezoid quadrature of
+the integrand; paths are embarrassingly parallel over fixed substream chunks
+(worker-scheduling independent).  Inside a chunk `sampling.draw_rows` draws
+the paths as rows of increments and each path is integrated from its own
+row, so the values are those of the whole chunk.  The closed-form
+evaluators are pure.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
     "ExpFunMoments",
     "default_n_steps",
     "mean_mt",
-    "second_moment",
     "variance_sigma2",
     "moments",
     "integral_from_increments",
@@ -87,62 +84,61 @@ def default_n_steps(t: float) -> int:
     return max(2, round(2000.0 * t / 0.1))
 
 
-def _iexp(lam: float, t: float) -> float:
-    """(e^{lam t} - 1)/lam with full relative accuracy down to lam = 0."""
-    if lam == 0.0:
-        return t
-    return math.expm1(lam * t) / lam
-
-
-def _require_t(t: float):
-    if not math.isfinite(t) or t <= 0.0:
-        raise ValueError(f"t must be finite and > 0, got {t}")
-
-
 @contextlib.contextmanager
 def _float_range(a: float, t: float):
-    """Re-raise a float overflow (math.exp, expm1, **) as a ValueError naming a and t."""
+    """Re-raise a float overflow (math.exp, fsum, **) as a ValueError naming a
+    and t, and an underflow (FloatingPointError, or ZeroDivisionError from
+    dividing by a value that underflowed to 0) as the same with "underflow"."""
     try:
         yield
-    except OverflowError as exc:
-        raise ValueError(f"a={a!r}, t={t!r} overflow the float range of the exponential functional") from exc
+    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+        how = "overflow" if isinstance(exc, OverflowError) else "underflow"
+        raise ValueError(f"a={a!r}, t={t!r} {how} the float range of the exponential functional") from exc
+
+
+def _exp_divided_difference(a: float, t: float, nodes: tuple[float, ...]) -> float:
+    """The divided difference e^{xt}[nodes] of x -> e^{xt}, for t > 0.
+
+    It is the top-right entry of exp(tM), M upper bidiagonal with the nodes on
+    its diagonal and ones above (McCurdy, Ng & Parlett 1984): the Taylor
+    series at tM/2^s, whose row sums are <= 1/2, squared s times.  Every
+    squaring sums nonnegative products, and the diagonal after squaring r is
+    set to the exact e^{x t/2^(s-r)} (Al-Mohy & Higham 2009), so errors add
+    up over the squarings instead of doubling.  Plain floats and fsum keep the bits independent of
+    any BLAS; a and t only name the input in a range error.
+    """
+    if not math.isfinite(t) or t <= 0.0:
+        raise ValueError(f"t must be finite and > 0, got {t}")
+    n = len(nodes)
+    with _float_range(a, t):
+        s = max(0, math.ceil(math.log2(2.0 * t * (max(map(abs, nodes)) + 1.0))))
+        h = math.ldexp(t, -s)
+        diag = [h * x for x in nodes]
+        term = [[float(i == j) for j in range(n)] for i in range(n)]
+        terms = [term]
+        for k in range(1, 20):  # at row sums <= 1/2, later terms are < 1e-19 of each entry's first
+            term = [[(term[i][j] * diag[j] + (term[i][j - 1] * h if j > i else 0.0)) / k for j in range(n)]
+                    for i in range(n)]
+            terms.append(term)
+        e = [[math.fsum(tk[i][j] for tk in terms) for j in range(n)] for i in range(n)]
+        for r in range(1, s + 1):
+            e = [[math.fsum(e[i][k] * e[k][j] for k in range(i, j + 1)) for j in range(n)] for i in range(n)]
+            for i in range(n):
+                e[i][i] = math.exp(math.ldexp(diag[i], r))
+        out = e[0][n - 1]
+        if not 2.0**-1022 <= out < math.inf:  # a subnormal value has lost digits
+            raise FloatingPointError if out < 1.0 else OverflowError
+    return out
 
 
 def mean_mt(a: float, t: float) -> float:
-    """m_t = E F_t, continuous in a across the removable point a = -1/2."""
-    _require_t(t)
-    with _float_range(a, t):
-        return _iexp(a + 0.5, t)
-
-
-# Below this |c| * t the direct bracket loses more than ~4 digits to
-# cancellation while the cubic series truncation error is ~(|c| t)^4/120.
-_SERIES_THRESHOLD = 1e-4
-
-
-def second_moment(a: float, t: float) -> float:
-    """E F_t^2 in closed form, with a series branch near a = -3/2."""
-    _require_t(t)
-    c = a + 1.5
-    with _float_range(a, t):
-        if abs(c * t) >= _SERIES_THRESHOLD:
-            return 2.0 / c * (_iexp(2.0 * a + 2.0, t) - _iexp(a + 0.5, t))
-        # E F^2 = 2 * integral_0^t u e^{bu} (1 + cu/2 + (cu)^2/6 + (cu)^3/24 + ...) du
-        b = a + 0.5  # |b| = |c - 1| ~ 1 here, so the J-recurrence is well conditioned
-        ebt = math.exp(b * t)
-        j = _iexp(b, t)
-        total = 0.0
-        coeff = 2.0
-        for k in range(1, 5):
-            j = (t**k * ebt - k * j) / b
-            total += coeff * j
-            coeff *= c / (k + 1.0)
-        return total
+    """m_t = E F_t = e^{xt}[0, a + 1/2]."""
+    return _exp_divided_difference(a, t, (0.0, a + 0.5))
 
 
 def variance_sigma2(a: float, t: float) -> float:
-    """sigma_t^2 = Var F_t = E F_t^2 - m_t^2."""
-    return second_moment(a, t) - mean_mt(a, t) ** 2
+    """sigma_t^2 = Var F_t = 2 e^{xt}[0, a + 1/2, 2a + 1, 2a + 2]."""
+    return 2.0 * _exp_divided_difference(a, t, (0.0, a + 0.5, 2.0 * a + 1.0, 2.0 * a + 2.0))
 
 
 def moments(params: ExpFunParams) -> ExpFunMoments:
@@ -212,7 +208,8 @@ def lower_tail_bound(x):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError(f"x must be >= 0, got {x!r}")
-    out = np.exp(-(xa**2) / 2.0)
+    with np.errstate(over="ignore"):  # x^2 = inf past |x| ~ 1.3e154, where the bound is 0
+        out = np.exp(-(xa**2) / 2.0)
     return float(out) if xa.ndim == 0 else out
 
 
@@ -233,10 +230,11 @@ def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
     t = params.t
     za = np.abs(np.asarray(z, dtype=float))
     prefactor = math.sqrt(discrepancy_sq_upper(params, m))
-    terms = (
-        np.exp(-np.log1p(za * m.sigma_t / (2.0 * m.m_t)) ** 2 / (4.0 * t))
-        + np.exp(-(za**2) / 16.0)
-        + 2.0 * np.exp(-(za**2) / 4.0)
-    )
+    with np.errstate(over="ignore"):  # z^2 = inf past |z| ~ 1.3e154, where its terms are 0
+        terms = (
+            np.exp(-np.log1p(za * m.sigma_t / (2.0 * m.m_t)) ** 2 / (4.0 * t))
+            + np.exp(-(za**2) / 16.0)
+            + 2.0 * np.exp(-(za**2) / 4.0)
+        )
     out = prefactor * terms
     return float(out) if np.ndim(z) == 0 else out

@@ -72,29 +72,45 @@ def expfun_mean_quad(a: float, t: float) -> float:
     return val
 
 
-def expfun_second_moment_quad(a: float, t: float) -> float:
-    """E F_t^2 by adaptive 2-d quadrature of the raw covariance kernel.
+def expfun_variance_quad(a: float, t: float) -> float:
+    """sigma_t^2 by adaptive 2-d quadrature of the positive covariance kernel.
 
-    E F^2 = 2 * int_0^t int_0^u e^{a(s+u)} e^{(s + u + 2 min(s,u))/2} ds du,
-    ordered so the min-kink never sits inside an inner panel.
+    Cov(e^{as+B_s}, e^{au+B_u}) = e^{(a+1/2)(s+u)} (e^{min(s,u)} - 1), so
+    sigma_t^2 = 2 * int_0^t int_0^u e^{(a+1/2)(s+u)} expm1(s) ds du, ordered so
+    the min-kink never sits inside an inner panel.  Nothing cancels.
     """
+    b = a + 0.5
 
     def inner(u: float) -> float:
         val, _ = integrate.quad(
-            lambda s: math.exp(a * (s + u) + (s + u + 2.0 * min(s, u)) / 2.0),
-            0.0,
-            u,
-            epsabs=1e-16,
-            epsrel=1e-13,
+            lambda s: math.exp(b * (s + u)) * math.expm1(s), 0.0, u, epsabs=0.0, epsrel=1e-13
         )
         return val
 
-    val, _ = integrate.quad(inner, 0.0, t, epsabs=1e-16, epsrel=1e-13)
+    val, _ = integrate.quad(inner, 0.0, t, epsabs=0.0, epsrel=1e-13)
     return 2.0 * val
 
 
-def expfun_variance_quad(a: float, t: float) -> float:
-    return expfun_second_moment_quad(a, t) - expfun_mean_quad(a, t) ** 2
+def expfun_moments_mp(a: float, t: float) -> tuple[float, float]:
+    """m_t and sigma_t^2 from their closed forms, m_t = iexp(a + 1/2) and
+    sigma_t^2 = 2/(a + 3/2) (iexp(2a + 2) - iexp(a + 1/2)) - m_t^2 with
+    iexp(lam) = (e^{lam t} - 1)/lam, in mpmath at 40 + 3 log10(1/t) digits plus
+    twice the digits lost to a removable point closer than 1.  At a removable
+    point itself the forms are taken 1e-30 away, which moves the moments by
+    O(1e-30) relative."""
+    def digits(x: float) -> int:
+        return max(0, math.ceil(-math.log10(x)))
+
+    gap = min(abs(a - r) for r in (-0.5, -1.0, -1.5))
+    with mpmath.workdps(40 + 3 * digits(t) + 2 * digits(gap or 1e-30)):
+        a_mp = mpmath.mpf(a) + (0 if gap else mpmath.mpf(10) ** -30)
+        t_mp = mpmath.mpf(t)
+
+        def iexp(lam):
+            return mpmath.expm1(lam * t_mp) / lam
+
+        m = iexp(a_mp + 0.5)
+        return float(m), float(2 / (a_mp + 1.5) * (iexp(2 * a_mp + 2) - iexp(a_mp + 0.5)) - m * m)
 
 
 def _erfcx_mpf(u):

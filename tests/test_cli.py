@@ -13,7 +13,7 @@ import pytest
 
 import nubes
 from nubes import bounds, chaos, cli, empirical, expfun, sampling
-from oracles import csv_bytes
+from oracles import csv_bytes, expfun_moments_mp
 from test_sampling import RecordingPool
 
 
@@ -288,9 +288,11 @@ class TestBoundOnlyScenario:
         (["chaos-compare", "--q", "171", "--tail", "unit", "--samples", "10"], "q=171"),
         (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1000"], "a=0.0, t=1000.0"),
         (["expfun-compare", "--t", "100", "--samples", "10", "--n-steps", "10"], "a=0.0, t=100.0"),
+        (["expfun-compare", "--t", "1e-120", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-120 underflow"),
+        (["expfun-compare", "--t", "1e-60", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-60 underflow"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
-         "expfun-moments-overflow", "expfun-rate-overflow"],
+         "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow", "expfun-rate-underflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line
@@ -300,6 +302,47 @@ def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     assert message in err
     assert err.startswith("nubes: error") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "a, t", [(-0.5, 1e-5), (0.0, 1e-6), (0.0, 0.05)], ids=["coincident-nodes", "tiny-t", "expfun-paths-t"]
+)
+def test_expfun_summary_moments_match_mpmath(a, t, tmp_path):
+    # the moments in the summary are those of the closed forms at 40+ digits,
+    # also at a = -1/2 where m_t and sigma_t^2 have coincident nodes
+    out = tmp_path / "ef.json"
+    args = ["expfun-compare", "--a", a, "--t", t, "--samples", "100", "--n-steps", "10", "--format", "json"]
+    assert run_cli(args + ["--output", out]) == 0
+    summary = json.loads(out.read_text())["summary"]
+    m, s2 = expfun_moments_mp(a, t)
+    assert abs(summary["m_t"] / m - 1.0) <= 1e-14
+    assert abs(summary["sigma2_t"] / s2 - 1.0) <= 1e-14
+
+
+def test_expfun_tail_at_small_t(tmp_path):
+    out = tmp_path / "b.csv"
+    assert run_cli(["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1e-7", "--output", out]) == 0
+    rows = [list(map(float, r.split(","))) for r in out.read_text().splitlines()[1:]]
+    assert rows and all(0.0 <= v < math.inf for r in rows for v in r[1:])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["expfun-compare", "--samples", "2000", "--n-steps", "20"],
+        ["bound-only", "--discrepancy", "1", "--tail", "expfun"],
+    ],
+    ids=["expfun-compare", "bound-only"],
+)
+def test_expfun_bounds_at_huge_z_warn_nothing(args, tmp_path):
+    # z^2 overflows past |z| ~ 1.3e154, where the terms it enters are 0
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run_cli(args + ["--z-min=-1e300", "--z-max", "1e300", "--z-count", "3", "--output", out]) == 0
+    header, *rows = out.read_text().splitlines()
+    bound = header.split(",").index("bound")
+    assert [float(r.split(",")[bound]) for r in rows][::2] == [0.0, 0.0]
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nubes import expfun
 from nubes.bounds import ExpFunTail, tail_probability
 from nubes.expfun import ExpFunMoments, ExpFunParams
-from oracles import expfun_mean_quad, expfun_variance_quad
+from oracles import expfun_mean_quad, expfun_moments_mp, expfun_variance_quad
 
 # high-precision reference values (mpmath, 40 digits)
 M_0_1 = 1.2974425414002563  # 2 (sqrt(e) - 1)
 SIGMA2_0_1 = 0.8460901958516027
-EF2_M15_01 = 0.009357680320888939  # E F^2 at a = -3/2, t = 0.1 (series branch)
+SIGMA2_M15_01 = 3.017633148262267e-4  # a = -3/2, t = 0.1: 2(1 - e^{-t}(1 + t)) - (1 - e^{-t})^2
 M_OVER_T_1E3 = 1.0002500416718755
 THREE_SIGMA2_OVER_T3_1E3 = 1.0008754376615068
 PREF_OVER_6_1E3 = 1.0031298330421158
@@ -72,38 +74,61 @@ class TestMean:
 class TestVariance:
     def test_reference_values(self):
         assert abs(expfun.variance_sigma2(0.0, 1.0) / SIGMA2_0_1 - 1.0) <= 1e-12
-        assert abs(expfun.second_moment(-1.5, 0.1) / EF2_M15_01 - 1.0) <= 1e-11
+        assert abs(expfun.variance_sigma2(-1.5, 0.1) / SIGMA2_M15_01 - 1.0) <= 1e-11
         assert abs(expfun.variance_sigma2(0.0, 0.1) / SIGMA2_0_01 - 1.0) <= 1e-12
         assert abs(expfun.mean_mt(0.0, 0.1) / M_0_01 - 1.0) <= 1e-14
 
     def test_against_quadrature(self):
-        # limit branch at a = -1.5 included; all removable points covered
+        # the coincident nodes at a = -1.5, -1 and -0.5 included
         for a in (-2.0, -1.5, -1.0, -0.5, 0.0, 1.0):
             for t in (0.01, 0.1, 1.0):
                 rel = abs(expfun.variance_sigma2(a, t) / expfun_variance_quad(a, t) - 1.0)
                 assert rel <= 1e-10, (a, t, rel)
 
-    def test_series_branch_agrees_near_singularity(self):
+    def test_agrees_near_removable_point(self):
         for a in (-1.5 + 5e-4, -1.5 - 5e-4, -1.498):
             for t in (0.1, 1.0):
                 rel = abs(expfun.variance_sigma2(a, t) / expfun_variance_quad(a, t) - 1.0)
                 assert rel <= 1e-8
 
     def test_small_t_limit(self):
-        # EF^2 - m^2 loses ~3.5 digits to cancellation at t = 1e-3; 1e-9 still
-        # pins the value to 9 digits (the acceptance tolerance is 1e-2)
+        # sigma_t^2 does not cancel, so it matches to 1e-14 (the acceptance tolerance is 1e-2)
         t = 1e-3
-        assert abs(3.0 * expfun.variance_sigma2(0.0, t) / t**3 / THREE_SIGMA2_OVER_T3_1E3 - 1.0) <= 1e-9
+        assert abs(3.0 * expfun.variance_sigma2(0.0, t) / t**3 / THREE_SIGMA2_OVER_T3_1E3 - 1.0) <= 1e-14
 
-    def test_positive_and_cauchy_schwarz(self):
+    def test_positive(self):
         for a in (-3.0, -1.5, 0.0, 2.0):
             for t in (0.01, 0.5, 2.0):
-                s2 = expfun.variance_sigma2(a, t)
-                assert 0.0 < s2 < expfun.second_moment(a, t)
+                assert 0.0 < expfun.variance_sigma2(a, t) < math.inf
 
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             expfun.variance_sigma2(0.0, 0.0)
+
+
+class TestMomentsAgainstMpmath:
+    A_GRID = (-5.0, -3.3, -2.0, -1.5 - 1e-9, -1.5, -1.5 + 1e-9, -1.2, -1.0 - 1e-9, -1.0, -1.0 + 1e-9,
+              -0.7, -0.5 - 1e-12, -0.5, -0.5 + 1e-12, -0.2, 0.0, 0.3, 1.0, 2.0)
+    T_GRID = (1e-100, 1e-60, 1e-30, 1e-10, 1e-6, 1e-3, 0.01, 0.05, 0.1, 0.37, 1.0, 2.5, 5.0, 10.0, 30.0, 100.0)
+
+    def test_grid(self):
+        for a in self.A_GRID:
+            for t in self.T_GRID:
+                m, s2 = expfun_moments_mp(a, t)
+                tol = 1e-14 if t <= 5.0 else 5e-13
+                assert abs(expfun.mean_mt(a, t) / m - 1.0) <= tol, (a, t)
+                assert abs(expfun.variance_sigma2(a, t) / s2 - 1.0) <= tol, (a, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-5.0, 2.0), st.floats(1e-100, 100.0), st.floats(1e-100, 100.0))
+    def test_positive_and_non_decreasing_in_t(self, a, t1, t2):
+        # the kernel is accurate to 5e-13 relative, not monotone to the last bit:
+        # a later t may read up to that much lower where the moments have saturated
+        t1, t2 = min(t1, t2), max(t1, t2)
+        for moment in (expfun.mean_mt, expfun.variance_sigma2):
+            lo, hi = moment(a, t1), moment(a, t2)
+            assert 0.0 < lo < math.inf and 0.0 < hi < math.inf
+            assert hi >= lo * (1.0 - 1e-12), (moment.__name__, a, t1, t2)
 
 
 class TestSampling:
@@ -248,8 +273,7 @@ class TestRateBound:
         params = ExpFunParams(a=0.0, t=t)
         m = expfun.moments(params)
         ratio = math.sqrt(expfun.discrepancy_sq_upper(params, m)) / (6.0 * math.sqrt(t))
-        # sigma_t^2 cancellation at t = 1e-3 limits agreement to ~2e-10
-        assert abs(ratio / PREF_OVER_6_1E3 - 1.0) <= 1e-9
+        assert abs(ratio / PREF_OVER_6_1E3 - 1.0) <= 1e-14
 
     def test_bound_at_zero_is_four_prefactors(self):
         params = ExpFunParams(a=0.0, t=0.05)
@@ -258,11 +282,10 @@ class TestRateBound:
         assert abs(expfun.clt_rate_bound(params, m, 0.0) - 4.0 * pref) <= 1e-13
 
     def test_overflow_names_a_and_t(self):
-        # e^{lam t} for the moments, e^{4at+8t} for the rate prefactor, t^k in the series
+        # e^{(a+1/2)t} for the mean, e^{(2a+2)t} for the variance, e^{4at+8t} for the rate prefactor
         cases = [
             (lambda: expfun.mean_mt(0.0, 2000.0), "a=0.0, t=2000.0"),
             (lambda: expfun.moments(ExpFunParams(a=0.0, t=1000.0)), "a=0.0, t=1000.0"),
-            (lambda: expfun.second_moment(-1.5, 1e100), "a=-1.5, t=1e+100"),
         ]
         params = ExpFunParams(a=0.0, t=100.0)
         m = expfun.moments(params)  # finite: e^{2t} = e^{200}
@@ -272,6 +295,24 @@ class TestRateBound:
         ]
         for call, names in cases:
             with pytest.raises(ValueError, match="overflow") as info:
+                call()
+            assert names in str(info.value)
+        # in range at a = -3/2 however large t: m_t -> 1 and sigma_t^2 -> 2 * 1/2 = 1
+        assert abs(expfun.mean_mt(-1.5, 1e100) - 1.0) <= 1e-14
+        assert abs(expfun.variance_sigma2(-1.5, 1e100) - 1.0) <= 1e-14
+
+    def test_underflow_names_a_and_t(self):
+        # sigma_t^2 ~ t^3/3 is subnormal at t = 1e-105 and 0 at 1e-120; sigma_t^4
+        # in the rate prefactor underflows to 0 first
+        params = ExpFunParams(a=0.0, t=1e-60)
+        m = expfun.moments(params)
+        cases = [
+            (lambda: expfun.variance_sigma2(0.0, 1e-105), "a=0.0, t=1e-105"),
+            (lambda: expfun.variance_sigma2(-0.5, 1e-120), "a=-0.5, t=1e-120"),
+            (lambda: expfun.discrepancy_sq_upper(params, m), "a=0.0, t=1e-60"),
+        ]
+        for call, names in cases:
+            with pytest.raises(ValueError, match="underflow") as info:
                 call()
             assert names in str(info.value)
 
@@ -286,7 +327,7 @@ class TestRateBound:
         params = ExpFunParams(a=0.0, t=t)
         m = expfun.moments(params)
         val = math.log1p(1.0 * m.sigma_t / (2.0 * m.m_t)) ** 2 / (4.0 * t)
-        assert abs(val / (1.0 / 48.0) / LOG2_RATIO_1E3_Z1 - 1.0) <= 1e-9
+        assert abs(val / (1.0 / 48.0) / LOG2_RATIO_1E3_Z1 - 1.0) <= 1e-14
 
     def test_bound_dominates_measured_discrepancy(self, expfun_t005):
         params, m = expfun_t005["params"], expfun_t005["moments"]

@@ -33,11 +33,13 @@ size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
 are the columns.  Floats are written as Python repr writes them (shortest
 round-trip, up to 17 significant digits, '.' decimal separator), booleans as
-1/0 in CSV and true/false in JSON, strings as they are.  CSV uses a header
-row, comma separators, and LF line endings; it is written in blocks of rows,
-each formatted in numpy (`_floattext`, byte-equal to repr) and written as it
-is made.  JSON goes through json.dumps, uses the documented insertion order
-and omits file paths so output is byte-comparable across locations.
+1/0 in CSV and true/false in JSON, strings as they are.  Both formats are
+written as bytes through one binary stream, the output file or stdout's
+buffer, so they have LF line endings on every platform.  CSV has a header
+row and comma separators; it is written in blocks of rows, each formatted in
+numpy (`_floattext`, byte-equal to repr) and written as it is made.  JSON
+goes through json.dumps (ASCII), uses the documented insertion order and
+omits file paths so output is byte-comparable across locations.
 
 Memory: chaos-compare and expfun-compare never hold the sample array.  Each
 chunk's job reduces its samples to integer counts at the z grid and at
@@ -50,6 +52,7 @@ Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -189,7 +192,7 @@ def parse_config(argv: Sequence[str]) -> dict:
                 file_cfg = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read config file {ns.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError on bytes that are not UTF-8
             raise UsageError(f"config file {ns.config} is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise UsageError(f"config file {ns.config} must hold a JSON object")
@@ -280,31 +283,27 @@ def _write_csv(stream, rows: np.recarray):
 
 
 def _write(cfg: dict, summary: dict, rows: np.recarray):
-    if cfg["format"] == "csv":
-        if cfg["output"] == "-":
-            sys.stdout.flush()
-            _write_csv(sys.stdout.buffer, rows)
-            sys.stdout.buffer.flush()
-        else:
-            with open(cfg["output"], "wb") as fh:
-                _write_csv(fh, rows)
-        return
-    # parameters echoed in JSON exclude file paths and the worker count, so
-    # bytes depend on neither where the output lands nor how it was computed
-    params = {k: v for k, v in cfg.items() if k not in ("output", "format", "scenario", "workers")}
-    payload = {
-        "scenario": cfg["scenario"],
-        "parameters": params,
-        "columns": list(rows.dtype.names),
-        "rows": rows.tolist(),
-        "summary": summary,
-    }
-    text = json.dumps(payload, indent=2) + "\n"
     if cfg["output"] == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()  # text already written to sys.stdout goes out first
+        out = contextlib.nullcontext(sys.stdout.buffer)
     else:
-        with open(cfg["output"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        out = open(cfg["output"], "wb")
+    with out as stream:
+        if cfg["format"] == "csv":
+            _write_csv(stream, rows)
+        else:
+            # parameters echoed in JSON exclude file paths and the worker count, so
+            # bytes depend on neither where the output lands nor how it was computed
+            params = {k: v for k, v in cfg.items() if k not in ("output", "format", "scenario", "workers")}
+            payload = {
+                "scenario": cfg["scenario"],
+                "parameters": params,
+                "columns": list(rows.dtype.names),
+                "rows": rows.tolist(),
+                "summary": summary,
+            }
+            stream.write((json.dumps(payload, indent=2) + "\n").encode())
+        stream.flush()
 
 
 def _run_stein_check(cfg: dict) -> int:
@@ -425,17 +424,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         cfg = parse_config(argv)
-    except UsageError as exc:
-        print(f"nubes: error: {exc}", file=sys.stderr)
-        return 1
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
         return run(cfg)
+    except SystemExit as exc:  # argparse has printed its usage error or help
+        return exc.code if isinstance(exc.code, int) else 1
     except UsageError as exc:
         print(f"nubes: error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # only run raises these: parse_config raises UsageError
         print(f"nubes: error in scenario {cfg['scenario']}: {exc}", file=sys.stderr)
         return 1
 

@@ -87,11 +87,10 @@ def default_n_steps(t: float) -> int:
 @contextlib.contextmanager
 def _float_range(a: float, t: float):
     """Re-raise a float overflow (math.exp, fsum, **) as a ValueError naming a
-    and t, and an underflow (FloatingPointError, or ZeroDivisionError from
-    dividing by a value that underflowed to 0) as the same with "underflow"."""
+    and t, and an underflow (FloatingPointError) as the same with "underflow"."""
     try:
         yield
-    except (OverflowError, ZeroDivisionError, FloatingPointError) as exc:
+    except (OverflowError, FloatingPointError) as exc:
         how = "overflow" if isinstance(exc, OverflowError) else "underflow"
         raise ValueError(f"a={a!r}, t={t!r} {how} the float range of the exponential functional") from exc
 
@@ -214,17 +213,18 @@ def lower_tail_bound(x):
 
 
 def discrepancy_sq_upper(params: ExpFunParams, m: ExpFunMoments) -> float:
-    """Upper bound 4 t^7 e^{4at+8t} / sigma_t^4 on the squared Stein discrepancy of F~_t."""
+    """Upper bound 4 t^7 e^{4at+8t} / sigma_t^4 on the squared Stein discrepancy of F~_t, formed
+    from t^3/sigma_t^2 (-> 3 as t -> 0) so that nothing underflows while sigma_t^2 is normal."""
     a, t = params.a, params.t
     with _float_range(a, t):
-        return 4.0 * t**7 * math.exp(4.0 * a * t + 8.0 * t) / m.sigma2_t**2
+        return 4.0 * t * (t**3 / m.sigma2_t) ** 2 * math.exp(4.0 * a * t + 8.0 * t)
 
 
 def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
     """Explicit non-uniform bound on |P(F~_t <= z) - Phi(z)|.
 
     prefactor * (exp(-ln^2(1 + |z| sigma_t/(2 m_t))/(4t)) + e^{-z^2/16} + 2 e^{-z^2/4})
-    with prefactor = 2 e^{2at+4t} t^3 sqrt(t) / sigma_t^2, the square root of
+    with prefactor = 2 sqrt(t) (t^3/sigma_t^2) e^{2at+4t}, the square root of
     discrepancy_sq_upper.
     """
     t = params.t

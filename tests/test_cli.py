@@ -69,9 +69,10 @@ class TestParseConfig:
 
     def test_malformed_config_rejected(self, tmp_path):
         cfg_path = tmp_path / "run.json"
-        cfg_path.write_text("{not json")
-        with pytest.raises(cli.UsageError, match="JSON"):
-            cli.parse_config(["chaos-compare", "--config", str(cfg_path), "--output", "o.csv"])
+        for text in (b"{not json", b"\xff{}"):  # the second is not UTF-8
+            cfg_path.write_bytes(text)
+            with pytest.raises(cli.UsageError, match="JSON"):
+                cli.parse_config(["chaos-compare", "--config", str(cfg_path), "--output", "o.csv"])
 
     def test_integral_float_accepted(self, tmp_path):
         cfg_path = tmp_path / "run.json"
@@ -289,10 +290,9 @@ class TestBoundOnlyScenario:
         (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1000"], "a=0.0, t=1000.0"),
         (["expfun-compare", "--t", "100", "--samples", "10", "--n-steps", "10"], "a=0.0, t=100.0"),
         (["expfun-compare", "--t", "1e-120", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-120 underflow"),
-        (["expfun-compare", "--t", "1e-60", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-60 underflow"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
-         "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow", "expfun-rate-underflow"],
+         "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line
@@ -317,6 +317,20 @@ def test_expfun_summary_moments_match_mpmath(a, t, tmp_path):
     m, s2 = expfun_moments_mp(a, t)
     assert abs(summary["m_t"] / m - 1.0) <= 1e-14
     assert abs(summary["sigma2_t"] / s2 - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("t", [1e-46, 1e-50, 1e-60, 1e-100])
+def test_expfun_uniform_bound_at_tiny_t(t, tmp_path):
+    # sqrt(4 t^7 e^{8t})/sigma_t^2 is near 6 sqrt(t); t^7 and sigma_t^4 underflow
+    # while sigma_t^2 is still a normal float
+    out = tmp_path / "ef.json"
+    args = ["expfun-compare", "--t", t, "--samples", "100", "--n-steps", "10", "--format", "json"]
+    assert run_cli(args + ["--output", out]) in (0, 2)
+    summary = json.loads(out.read_text())["summary"]
+    with mpmath.workdps(50):
+        t_mp = mpmath.mpf(t)
+        want = mpmath.sqrt(4 * t_mp**7 * mpmath.exp(8 * t_mp)) / mpmath.mpf(summary["sigma2_t"])
+        assert abs(summary["uniform_bound"] / want - 1) <= 2e-15
 
 
 def test_expfun_tail_at_small_t(tmp_path):
@@ -736,8 +750,9 @@ class TestCsvBytes:
     @pytest.mark.parametrize(
         "args",
         [["stein-check", "--z-count", "5", "--x-count", "101"],
-         ["chaos-compare", "--samples", "5000", "--z-count", "21"]],
-        ids=["stein-check", "chaos-compare"],
+         ["chaos-compare", "--samples", "5000", "--z-count", "21"],
+         ["chaos-compare", "--samples", "5000", "--z-count", "21", "--format", "json"]],
+        ids=["stein-check", "chaos-compare", "chaos-compare-json"],
     )
     def test_stdout_equals_file(self, args, tmp_path, capsysbinary):
         out = tmp_path / "out.csv"

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -302,19 +303,26 @@ class TestRateBound:
         assert abs(expfun.variance_sigma2(-1.5, 1e100) - 1.0) <= 1e-14
 
     def test_underflow_names_a_and_t(self):
-        # sigma_t^2 ~ t^3/3 is subnormal at t = 1e-105 and 0 at 1e-120; sigma_t^4
-        # in the rate prefactor underflows to 0 first
-        params = ExpFunParams(a=0.0, t=1e-60)
-        m = expfun.moments(params)
+        # sigma_t^2 ~ t^3/3 is subnormal at t = 1e-105 and 0 at 1e-120
         cases = [
             (lambda: expfun.variance_sigma2(0.0, 1e-105), "a=0.0, t=1e-105"),
             (lambda: expfun.variance_sigma2(-0.5, 1e-120), "a=-0.5, t=1e-120"),
-            (lambda: expfun.discrepancy_sq_upper(params, m), "a=0.0, t=1e-60"),
         ]
         for call, names in cases:
             with pytest.raises(ValueError, match="underflow") as info:
                 call()
             assert names in str(info.value)
+
+    @pytest.mark.parametrize("t", [1e-46, 1e-50, 1e-60, 1e-100])
+    def test_discrepancy_bound_at_tiny_t_matches_mpmath(self, t):
+        # t^7 and sigma_t^4 ~ t^6/9 underflow while sigma_t^2 is still a normal float
+        for a in (-1.5, 0.0, 2.0):
+            params = ExpFunParams(a=a, t=t)
+            m = expfun.moments(params)
+            with mpmath.workdps(50):
+                t_mp = mpmath.mpf(t)
+                want = 4 * t_mp**7 * mpmath.exp(4 * a * t_mp + 8 * t_mp) / mpmath.mpf(m.sigma2_t) ** 2
+                assert abs(expfun.discrepancy_sq_upper(params, m) / want - 1) <= 2e-15, a
 
     def test_even_in_z(self):
         params = ExpFunParams(a=0.0, t=0.05)

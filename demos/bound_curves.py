@@ -13,7 +13,7 @@ SQRT2 = math.sqrt(2.0)
 
 # the same discrepancy d = sqrt(2) with four different tail models
 models = {
-    "unit":    bounds.UnitTail(),
+    "unit":    np.ones_like,  # the trivial bound 1
     "markov6": bounds.MarkovTail(p=6.0, moment_p=755.0),  # E|F|^6 of the q=2 rank-one law
     "major":   bounds.MajorChaosTail(q=2, c_q=1.0),
     "exact":   chaos.exact_abs_tail_q2_rank1,  # an exact tail is the law's own function

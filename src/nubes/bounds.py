@@ -6,19 +6,21 @@ The engine evaluates
 
 where d is a Stein discrepancy (either the Malliavin inner-product form or
 the Skorokhod-integrand form; the arithmetic is identical and only the
-provenance of d differs) and P(|F| > x) comes from a pluggable tail model:
-exact absolute tail, Markov, chaos concentration, exponential-functional
-concentration, empirical (the plug-in tail of either ECDF, sorted samples or
-streamed counts at thresholds), or the constant 1.  A tail is any callable from
-an array of x >= 0 to an array of tail values: the parametric ones here are
-`TailModel` subclasses, and an exact tail is its law's function itself, such as
-`chaos.exact_abs_tail_q2_rank1`.  An exact tail should compute P(|F| > x)
-directly: the form 1 - cdf(x) + cdf(-x) cancels to an absolute error of about
-1e-16, so it loses the tail's relative accuracy as the tail shrinks and reads
-0 once the tail is below that.  `tail_probability` validates x and clamps the
-values to [0, 1] (clamping only tightens the bound since the modeled quantity
-is a probability).  `evaluate_curve` is one array expression over the whole
-grid and returns the columnar `BoundCurve`.
+provenance of d differs) and P(|F| > x) comes from a tail: any callable
+from an array of x >= 0 to an array of tail values.  The tails defined here
+are `TailModel` subclasses, which check their parameters when built: Markov,
+chaos concentration, and the plug-in tail of either ECDF (sorted samples or
+streamed counts at thresholds).  Every other tail is a function of its law's
+module, passed as it is: an exact tail such as `chaos.exact_abs_tail_q2_rank1`,
+the exponential-functional concentration bound `expfun.abs_tail_bound` (bound
+to its law by functools.partial), or `np.ones_like`, the constant 1.  An
+exact tail should compute P(|F| > x) directly: the form 1 - cdf(x) + cdf(-x)
+cancels to an absolute error of about 1e-16, so it loses the tail's relative
+accuracy as the tail shrinks and reads 0 once the tail is below that.
+`tail_probability` validates x and clamps the values to [0, 1] (clamping only
+tightens the bound since the modeled quantity is a probability).
+`evaluate_curve` is one array expression over the whole grid, whose factor
+|E F| + d is `uniform_bound`, and returns the columnar `BoundCurve`.
 
 The chaos bound for a variance-one multiple Wiener-Ito integral of order
 q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
@@ -43,15 +45,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import empirical, expfun
+from . import empirical
 
 __all__ = [
     "TailModel",
-    "UnitTail",
     "MarkovTail",
     "MajorChaosTail",
     "EmpiricalTail",
-    "ExpFunTail",
     "BoundInputs",
     "BoundCurve",
     "tail_probability",
@@ -65,14 +65,6 @@ class TailModel:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class UnitTail(TailModel):
-    """Constant 1 (the trivial tail bound)."""
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.ones_like(x)
 
 
 @dataclass(frozen=True)
@@ -133,17 +125,6 @@ class EmpiricalTail(TailModel):
         return 1.0 - inside / self.ecdf.n
 
 
-@dataclass(frozen=True)
-class ExpFunTail(TailModel):
-    """Two-sided concentration bound for the standardized exponential functional."""
-
-    params: expfun.ExpFunParams
-    moments: expfun.ExpFunMoments
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return expfun.upper_tail_bound(x, self.params, self.moments) + expfun.lower_tail_bound(x)
-
-
 def tail_probability(model: Callable[[np.ndarray], np.ndarray], x):
     """Evaluate a tail model at x >= 0 (scalar or array), clamped into [0, 1]."""
     xa = np.asarray(x, dtype=float)
@@ -198,5 +179,5 @@ def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:
     tail = tail_probability(inputs.tail, np.abs(z) / 2.0)
     with np.errstate(over="ignore"):  # z * z = inf past |z| ~ 1.3e154, where the term is 0
         gauss = 2.0 * np.exp(-z * z / 4.0)
-    bounds = (inputs.mean_abs + inputs.stein_discrepancy) * (np.sqrt(tail) + gauss)
+    bounds = uniform_bound(inputs) * (np.sqrt(tail) + gauss)
     return BoundCurve(z=z, tail_term=tail, gaussian_term=gauss, bounds=bounds)

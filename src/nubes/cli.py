@@ -340,8 +340,8 @@ def _tail_model(cfg: dict):
         return bounds.MajorChaosTail(q=cfg["q"], c_q=cfg["c-q"])
     if kind == "expfun":
         params = expfun.ExpFunParams(a=cfg["a"], t=cfg["t"])
-        return bounds.ExpFunTail(params=params, moments=expfun.moments(params))
-    return None if kind == "empirical" else bounds.UnitTail()
+        return functools.partial(expfun.abs_tail_bound, params=params, m=expfun.moments(params))
+    return None if kind == "empirical" else np.ones_like
 
 
 def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:

@@ -4,8 +4,10 @@ The empirical side of a bound check: build an ECDF from samples, measure the
 discrepancy |P_hat(F <= z) - Phi(z)| with a per-point binomial standard error,
 and certify the curve against a theoretical bound with a statistical slack of
 k standard errors (the bounds are statements about true probabilities, so the
-test must budget estimation noise).  The DKW band gives the uniform
-alternative to the pointwise slack.
+test must budget estimation noise).  Where P_hat is 0 or 1 the standard
+error is that of one sample on the other side, P_hat = 1/max(n, 2): about
+1/n, so a slack of k = 3 is the rule-of-three bound.  The DKW band gives the
+uniform alternative to the pointwise slack.
 
 An ECDF is read through two counts, #{s <= t} and #{s < t} (`EcdfCounts`):
 `evaluate` and the plug-in tail `bounds.EmpiricalTail` are written once over
@@ -137,8 +139,8 @@ def discrepancy_curve(ecdf: EcdfCounts, grid: Sequence[float]) -> np.recarray:
         raise ValueError("grid must be nonempty and finite")
     p = ecdf.evaluate(zs)
     phi = normal_cdf(zs)
-    se_floor = math.sqrt(0.25 / ecdf.n) * 1e-3  # continuity floor at p_hat in {0, 1}
-    se = np.where((0.0 < p) & (p < 1.0), np.sqrt(p * (1.0 - p) / ecdf.n), se_floor)
+    p1 = 1.0 / max(ecdf.n, 2)  # at p_hat in {0, 1}, the SE of one sample on the other side
+    se = np.where((0.0 < p) & (p < 1.0), np.sqrt(p * (1.0 - p) / ecdf.n), math.sqrt(p1 * (1.0 - p1) / ecdf.n))
     return np.rec.fromarrays(
         [zs, p, phi, np.abs(p - phi), se], names="z,empirical_cdf,normal_cdf,discrepancy,standard_error"
     )
@@ -155,7 +157,7 @@ def dkw_epsilon(n: int, delta: float) -> float:
 
 @dataclass(frozen=True)
 class CertifyReport:
-    """Per-point violation flags plus summary; exit semantics 0 = no violations.
+    """Per-point violation flags plus their count; exit status 0 when there are none, else 2.
 
     `rows` is the discrepancy curve with two more fields, `bound` and
     `violated`.
@@ -163,11 +165,10 @@ class CertifyReport:
 
     rows: np.recarray
     n_violations: int
-    passed: bool
 
     @property
     def exit_status(self) -> int:
-        return 0 if self.passed else 2
+        return 0 if self.n_violations == 0 else 2
 
 
 def certify(curve: np.recarray, bounds: Sequence[float], k: float) -> CertifyReport:
@@ -184,5 +185,4 @@ def certify(curve: np.recarray, bounds: Sequence[float], k: float) -> CertifyRep
     names = curve.dtype.names
     columns = [curve[name] for name in names] + [bounds, violated]
     rows = np.rec.fromarrays(columns, names=[*names, "bound", "violated"])
-    n_violations = int(np.count_nonzero(violated))
-    return CertifyReport(rows=rows, n_violations=n_violations, passed=n_violations == 0)
+    return CertifyReport(rows=rows, n_violations=int(np.count_nonzero(violated)))

@@ -15,15 +15,16 @@ evaluates both, also at the coincident nodes of a = -1/2, -1 and -3/2.
 Standardized, F~_t = (F_t - m_t)/sigma_t satisfies one-sided concentration
 bounds and an explicit non-uniform normal-approximation rate whose prefactor
 is the square root of a second-moment bound on the Stein discrepancy; both
-are evaluated here.  Moments and bounds whose exponentials overflow, or
-whose moments underflow the normal float range, raise ValueError naming a
-and t.  Sampling
-uses exact Gaussian increments on a uniform grid and trapezoid quadrature of
-the integrand; paths are embarrassingly parallel over fixed substream chunks
-(worker-scheduling independent).  Inside a chunk `sampling.draw_rows` draws
-the paths as rows of increments and each path is integrated from its own
-row, so the values are those of the whole chunk.  The closed-form
-evaluators are pure.
+are evaluated here.  The sum of the two concentration bounds,
+`abs_tail_bound`, bounds P(|F~_t| > x); it is the tail `bounds.evaluate_curve`
+takes for this law, with params and m bound by functools.partial.  Moments
+and bounds whose exponentials overflow, or whose moments underflow the normal
+float range, raise ValueError naming a and t.  Sampling uses exact Gaussian
+increments on a uniform grid and trapezoid quadrature of the integrand; paths
+are embarrassingly parallel over fixed substream chunks (worker-scheduling
+independent).  Inside a chunk `sampling.draw_rows` draws the paths as rows of
+increments and each path is integrated from its own row, so the values are
+those of the whole chunk.  The closed-form evaluators are pure.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "standardize",
     "upper_tail_bound",
     "lower_tail_bound",
+    "abs_tail_bound",
     "discrepancy_sq_upper",
     "clt_rate_bound",
 ]
@@ -210,6 +212,11 @@ def lower_tail_bound(x):
     with np.errstate(over="ignore"):  # x^2 = inf past |x| ~ 1.3e154, where the bound is 0
         out = np.exp(-(xa**2) / 2.0)
     return float(out) if xa.ndim == 0 else out
+
+
+def abs_tail_bound(x, params: ExpFunParams, m: ExpFunMoments):
+    """Two-sided concentration bound on P(|F~_t| > x), x >= 0: the upper plus the lower tail bound."""
+    return upper_tail_bound(x, params, m) + lower_tail_bound(x)
 
 
 def discrepancy_sq_upper(params: ExpFunParams, m: ExpFunMoments) -> float:

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,20 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import bounds, chaos, expfun
-from nubes.bounds import (
-    BoundInputs,
-    EmpiricalTail,
-    ExpFunTail,
-    MajorChaosTail,
-    MarkovTail,
-    UnitTail,
-)
+from nubes.bounds import BoundInputs, EmpiricalTail, MajorChaosTail, MarkovTail
 
 SQRT2 = math.sqrt(2.0)
 # exact two-sided tail of the rank-one q=2 law at x = 2 (mpmath, 40 digits)
 P_ABS_GT_2 = 0.05039019849432359
 BOUND_Z4_EXACT_TAIL = 0.36926373382554775
 EXACT = chaos.exact_abs_tail_q2_rank1  # an exact tail is the law's own function
+UNIT = np.ones_like  # the trivial tail bound 1
+
+
+def expfun_tail(params: expfun.ExpFunParams):
+    """The exponential functional's two-sided concentration tail, as the CLI builds it."""
+    return functools.partial(expfun.abs_tail_bound, params=params, m=expfun.moments(params))
 
 
 def bound_at(inputs: BoundInputs, z: float) -> float:
@@ -30,7 +30,7 @@ def bound_at(inputs: BoundInputs, z: float) -> float:
 
 class TestTailModels:
     def test_unit(self):
-        m = UnitTail()
+        m = UNIT
         for x in (0.0, 1.0, 50.0):
             assert bounds.tail_probability(m, x) == 1.0
 
@@ -67,7 +67,7 @@ class TestTailModels:
     def test_expfun_tail_model(self):
         params = expfun.ExpFunParams(a=0.0, t=0.1)
         m = expfun.moments(params)
-        model = ExpFunTail(params=params, moments=m)
+        model = expfun_tail(params)
         expected = expfun.upper_tail_bound(1.5, params, m) + expfun.lower_tail_bound(1.5)
         assert abs(bounds.tail_probability(model, 1.5) - min(1.0, expected)) <= 1e-15
         assert bounds.tail_probability(model, 0.0) == 1.0
@@ -77,12 +77,12 @@ class TestTailModels:
         for _ in range(8):  # random parameters per sweep
             params = expfun.ExpFunParams(a=float(rng.uniform(-2, 2)), t=float(rng.uniform(0.02, 2)))
             models = [
-                UnitTail(),
+                UNIT,
                 MarkovTail(p=float(rng.uniform(0.5, 8)), moment_p=float(rng.uniform(0, 100))),
                 MajorChaosTail(q=int(rng.integers(2, 6)), c_q=float(rng.uniform(0.1, 10))),
                 EXACT,
                 EmpiricalTail.from_samples(rng.standard_normal(500)),
-                ExpFunTail(params=params, moments=expfun.moments(params)),
+                expfun_tail(params),
             ]
             xs = np.sort(rng.uniform(0.0, 20.0, size=60))
             for model in models:
@@ -92,9 +92,9 @@ class TestTailModels:
 
     def test_rejects_negative_x(self):
         with pytest.raises(ValueError):
-            bounds.tail_probability(UnitTail(), -0.5)
+            bounds.tail_probability(UNIT, -0.5)
         with pytest.raises(ValueError):
-            bounds.tail_probability(UnitTail(), math.nan)
+            bounds.tail_probability(UNIT, math.nan)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -110,9 +110,9 @@ class TestTailModels:
 class TestBoundInputs:
     def test_validation(self):
         with pytest.raises(ValueError):
-            BoundInputs(mean_abs=-0.1, stein_discrepancy=1.0, tail=UnitTail())
+            BoundInputs(mean_abs=-0.1, stein_discrepancy=1.0, tail=UNIT)
         with pytest.raises(ValueError):
-            BoundInputs(mean_abs=0.0, stein_discrepancy=math.inf, tail=UnitTail())
+            BoundInputs(mean_abs=0.0, stein_discrepancy=math.inf, tail=UNIT)
         with pytest.raises(ValueError, match="callable"):
             BoundInputs(mean_abs=0.0, stein_discrepancy=1.0, tail="unit")
         with pytest.raises(ValueError, match="callable"):
@@ -129,7 +129,7 @@ class TestBoundInputs:
 
 class TestNonuniformBound:
     def test_unit_tail_at_zero(self):
-        inputs = BoundInputs(0.0, SQRT2, UnitTail())
+        inputs = BoundInputs(0.0, SQRT2, UNIT)
         assert abs(bound_at(inputs, 0.0) - 3.0 * SQRT2) <= 1e-15
 
     def test_exact_tail_at_z4(self):
@@ -165,15 +165,15 @@ class TestNonuniformBound:
         assert bound_at(BoundInputs(0.1, 1.0, heavier), z) >= base
 
     def test_zero_inputs_zero_curve(self):
-        inputs = BoundInputs(0.0, 0.0, UnitTail())
+        inputs = BoundInputs(0.0, 0.0, UNIT)
         curve = bounds.evaluate_curve(inputs, np.linspace(-4, 4, 9))
         assert np.all(curve.bounds == 0.0)
 
     def test_rejects_non_finite_z(self):
         with pytest.raises(ValueError):
-            bound_at(BoundInputs(0.0, 1.0, UnitTail()), math.inf)
+            bound_at(BoundInputs(0.0, 1.0, UNIT), math.inf)
         with pytest.raises(ValueError, match="finite"):
-            bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [0.0, math.nan])
+            bounds.evaluate_curve(BoundInputs(0.0, 1.0, UNIT), [0.0, math.nan])
 
 
 def chaos_inputs(q: int, fourth_moment: float, c_q: float) -> BoundInputs:
@@ -244,12 +244,12 @@ class TestChaosBound:
 class TestUniformBound:
     def test_identity(self):
         # zero mean: the baseline is the discrepancy itself
-        assert bounds.uniform_bound(BoundInputs(0.0, SQRT2, UnitTail())) == SQRT2
-        assert bounds.uniform_bound(BoundInputs(0.0, 0.0, UnitTail())) == 0.0
+        assert bounds.uniform_bound(BoundInputs(0.0, SQRT2, UNIT)) == SQRT2
+        assert bounds.uniform_bound(BoundInputs(0.0, 0.0, UNIT)) == 0.0
 
     def test_adds_mean_abs(self):
         # the baseline is the factor |E F| + d of every bound value
-        inputs = BoundInputs(0.7, SQRT2, UnitTail())
+        inputs = BoundInputs(0.7, SQRT2, UNIT)
         assert bounds.uniform_bound(inputs) == 0.7 + SQRT2
         assert bound_at(inputs, 0.0) == bounds.uniform_bound(inputs) * 3.0
 
@@ -261,7 +261,7 @@ class TestUniformBound:
 
 class TestEvaluateCurve:
     def test_singleton(self):
-        inputs = BoundInputs(0.0, SQRT2, UnitTail())
+        inputs = BoundInputs(0.0, SQRT2, UNIT)
         curve = bounds.evaluate_curve(inputs, [0.0])
         for column in (curve.z, curve.tail_term, curve.gaussian_term, curve.bounds):
             assert column.shape == (1,)
@@ -296,14 +296,14 @@ class TestEvaluateCurve:
         assert np.all(b[pos] < uniform)
 
     def test_grid_order_preserved(self):
-        inputs = BoundInputs(0.0, 1.0, UnitTail())
+        inputs = BoundInputs(0.0, 1.0, UNIT)
         grid = [3.0, -1.0, 2.0]
         curve = bounds.evaluate_curve(inputs, grid)
         assert curve.z.tolist() == grid
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            bounds.evaluate_curve(BoundInputs(0.0, 1.0, UnitTail()), [])
+            bounds.evaluate_curve(BoundInputs(0.0, 1.0, UNIT), [])
 
     def test_huge_z_without_warnings(self):
         with warnings.catch_warnings():
@@ -318,7 +318,7 @@ def tail_models(draw):
     """One of the six tail models with random parameters."""
     kind = draw(st.sampled_from(("unit", "markov", "major", "exact", "empirical", "expfun")))
     if kind == "unit":
-        return UnitTail()
+        return UNIT
     if kind == "markov":
         return MarkovTail(p=draw(st.floats(0.5, 8.0)), moment_p=draw(st.floats(0.0, 1e3)))
     if kind == "major":
@@ -329,7 +329,7 @@ def tail_models(draw):
         samples = draw(st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=40))
         return EmpiricalTail.from_samples(samples)
     params = expfun.ExpFunParams(a=draw(st.floats(-2.0, 2.0)), t=draw(st.floats(0.02, 2.0)))
-    return ExpFunTail(params=params, moments=expfun.moments(params))
+    return expfun_tail(params)
 
 
 _grids = st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=60)

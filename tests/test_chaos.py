@@ -259,6 +259,8 @@ class TestExactCdf:
         assert chaos.exact_cdf_q2_rank1(-5.0) == 0.0
         assert abs(chaos.exact_cdf_q2_rank1(0.0) - TWO_PHI_1_MINUS_1) <= 1e-15
         assert chaos.exact_cdf_q2_rank1(1e6) > 1.0 - 1e-15
+        with pytest.raises(ValueError, match="z must be finite"):
+            chaos.exact_cdf_q2_rank1(math.nan)
 
     def test_valid_cdf_shape(self):
         zs = np.linspace(-2.0, 40.0, 20001)

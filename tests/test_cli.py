@@ -99,9 +99,10 @@ class TestParseConfig:
         ({"tail": 3}, "tail"),
         ({"alphas": [True, 2]}, "alphas"),
         ({"alphas": ["1", "x"]}, "alphas"),
+        ({"z-min": "abc"}, "z-min"),
     ],
     ids=["bool-for-int", "bool-for-float", "fraction-for-int-seed", "fraction-for-int-samples",
-         "null-for-string", "number-for-string", "bool-in-alphas", "string-in-alphas"],
+         "null-for-string", "number-for-string", "bool-in-alphas", "string-in-alphas", "string-for-float"],
 )
 def test_config_value_of_wrong_kind_rejected(file_cfg, key, tmp_path, capsys, monkeypatch):
     # the flag converters would silently truncate or stringify these
@@ -305,11 +306,15 @@ def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "a, t", [(-0.5, 1e-5), (0.0, 1e-6), (0.0, 0.05)], ids=["coincident-nodes", "tiny-t", "expfun-paths-t"]
+    "a, t",
+    [(-0.5, 1e-5), (0.0, 1e-6), (0.0, 0.05), (0.0, 1e-7)],
+    ids=["coincident-nodes", "tiny-t", "expfun-paths-t", "counts-of-0-or-n"],
 )
 def test_expfun_summary_moments_match_mpmath(a, t, tmp_path):
     # the moments in the summary are those of the closed forms at 40+ digits,
-    # also at a = -1/2 where m_t and sigma_t^2 have coincident nodes
+    # also at a = -1/2 where m_t and sigma_t^2 have coincident nodes; at t = 1e-7,
+    # 100 paths leave P_hat at 0 or 1 where the normal tail is 0.005-0.011, and
+    # the SE of one sample there flags nothing
     out = tmp_path / "ef.json"
     args = ["expfun-compare", "--a", a, "--t", t, "--samples", "100", "--n-steps", "10", "--format", "json"]
     assert run_cli(args + ["--output", out]) == 0
@@ -449,10 +454,13 @@ def test_output_layout(args, parameters, columns, summary, tmp_path):
         (["bound-only", "--discrepancy", "1", "--z-max", "inf"], None, "z-max"),
         (["chaos-compare", "--z-min=-1e308", "--z-max", "1e308", "--samples", "10"], None, "z-max"),
         (["stein-check", "--x-max", "inf"], None, "x-max"),
+        (["stein-check", "--x-count", "0"], None, "--x-count must be >= 1"),
+        (["stein-check"], [1, 2], "must hold a JSON object"),
+        (["stein-check", "--config", "."], None, "cannot read config file"),  # a directory
     ],
     ids=["chaos-seed", "expfun-seed", "chaos-samples", "expfun-samples", "slack-k", "stein-workers",
          "bound-workers", "format-key", "chaos-tail-expfun", "bound-tail-empirical", "slack-k-nan",
-         "z-max-inf", "z-span-overflow", "x-max-inf"],
+         "z-max-inf", "z-span-overflow", "x-max-inf", "x-count-zero", "config-array", "config-directory"],
 )
 def test_rejection_names_the_flag(args, file_cfg, name, tmp_path, capsys):
     if file_cfg is not None:

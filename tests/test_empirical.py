@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import bounds, chaos, empirical
-from nubes.bounds import BoundInputs, EmpiricalTail, UnitTail
+from nubes.bounds import BoundInputs, EmpiricalTail
 from nubes.empirical import ThresholdCounts, build_ecdf, certify, count_chunk, discrepancy_curve, dkw_epsilon
 from nubes.gaussian import normal_cdf
 
@@ -78,11 +78,16 @@ class TestDiscrepancyCurve:
         assert np.max(np.abs(e.evaluate(zs) - chaos.exact_cdf_q2_rank1(zs))) <= eps
 
     def test_se_floor_at_degenerate_p(self):
-        e = build_ecdf([0.0, 1.0])
+        # at p_hat in {0, 1} the SE is that of one sample on the other side, p = 1/n
+        e = build_ecdf(np.linspace(0.0, 1.0, 100))
         rows = discrepancy_curve(e, [-10.0, 10.0])
-        floor = math.sqrt(0.25 / 2) * 1e-3
-        assert rows[0].empirical_cdf == 0.0 and rows[0].standard_error == floor
-        assert rows[1].empirical_cdf == 1.0 and rows[1].standard_error == floor
+        one = math.sqrt(0.01 * 0.99 / 100)
+        assert rows[0].empirical_cdf == 0.0 and rows[0].standard_error == one
+        assert rows[1].empirical_cdf == 1.0 and rows[1].standard_error == one
+        # two samples: p = 1/2; one sample: p = 1/2 as well, not the zero SE of p = 1
+        for samples, want in (([0.0, 1.0], math.sqrt(0.25 / 2)), ([0.0], 0.5)):
+            rows = discrepancy_curve(build_ecdf(samples), [-10.0, 10.0])
+            assert rows.standard_error.tolist() == [want, want]
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -154,18 +159,18 @@ class TestCertify:
 
     def test_huge_bound_no_violations(self):
         curve, grid = self._setup()
-        big = bounds.evaluate_curve(BoundInputs(0.0, 1e6, UnitTail()), grid)
+        big = bounds.evaluate_curve(BoundInputs(0.0, 1e6, np.ones_like), grid)
         report = certify(curve, big.bounds, k=3.0)
-        assert report.passed and report.n_violations == 0 and report.exit_status == 0
+        assert report.n_violations == 0 and report.exit_status == 0
 
     def test_zero_bound_on_non_normal_violates(self):
         rng = np.random.default_rng(6)
         e = build_ecdf(rng.standard_normal(2000) + 2.0)  # shifted, clearly non-normal
         grid = np.linspace(-3, 3, 25)
         curve = discrepancy_curve(e, grid)
-        zero = bounds.evaluate_curve(BoundInputs(0.0, 0.0, UnitTail()), grid)
+        zero = bounds.evaluate_curve(BoundInputs(0.0, 0.0, np.ones_like), grid)
         report = certify(curve, zero.bounds, k=3.0)
-        assert not report.passed and report.n_violations > 0 and report.exit_status == 2
+        assert report.n_violations > 0 and report.exit_status == 2
 
     def test_monotone_in_bound(self):
         curve, grid = self._setup()
@@ -209,7 +214,8 @@ class TestColumnarEqualsScalar:
         e = build_ecdf(samples)
         grid = _with_outside_points(samples, grid)
         curve = discrepancy_curve(e, grid)
-        floor = math.sqrt(0.25 / e.n) * 1e-3
+        p1 = 1.0 / max(e.n, 2)
+        floor = math.sqrt(p1 * (1.0 - p1) / e.n)
         assert len(curve) == len(grid)
         for i, z in enumerate(grid):
             p, phi = e.evaluate(z), normal_cdf(z)
@@ -232,7 +238,7 @@ class TestColumnarEqualsScalar:
         for name in curve.dtype.names:
             assert np.array_equal(report.rows[name], curve[name])
         assert report.n_violations == sum(report.rows.violated.tolist())
-        assert report.passed == (report.n_violations == 0)
+        assert report.exit_status == (0 if report.n_violations == 0 else 2)
 
 
 def _thresholds(grid):

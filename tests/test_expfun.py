@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import expfun
-from nubes.bounds import ExpFunTail, tail_probability
+from nubes.bounds import tail_probability
 from nubes.expfun import ExpFunMoments, ExpFunParams
 from oracles import expfun_mean_quad, expfun_moments_mp, expfun_variance_quad
 
@@ -225,10 +226,16 @@ class TestConcentrationBounds:
     def test_two_sided(self):
         params = ExpFunParams(a=0.0, t=0.1)
         m = expfun.moments(params)
-        tail = ExpFunTail(params=params, moments=m)
+        assert expfun.abs_tail_bound(0.0, params, m) == 2.0
+        tail = functools.partial(expfun.abs_tail_bound, params=params, m=m)
         assert tail_probability(tail, 0.0) == 1.0  # clamped from 2
         expected = expfun.upper_tail_bound(2.0, params, m) + math.exp(-2.0)
         assert abs(tail_probability(tail, 2.0) - expected) <= 1e-15
+        xs = np.arange(0.0, 5.001, 0.5)
+        assert np.array_equal(expfun.abs_tail_bound(xs, params, m),
+                              expfun.upper_tail_bound(xs, params, m) + expfun.lower_tail_bound(xs))
+        with pytest.raises(ValueError):
+            expfun.abs_tail_bound(-0.1, params, m)
 
     def test_empirical_tails_respect_bounds(self, expfun_t01, expfun_t005):
         for data in (expfun_t01, expfun_t005):

@@ -68,13 +68,17 @@ def _traced(cli_args: list, tmp_path: Path) -> tuple[dict, Path]:
         (["bound-only", "--discrepancy", "1.4142135623730951", "--tail", "exact", "--z-count", "41"], 41),
         (["chaos-compare", "--q", "3", "--alphas", "1,0.5", "--tail", "empirical",
           "--samples", "2000", "--z-count", "21", "--format", "json"], 21),
+        (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "0.05", "--z-count", "41"], 41),
     ],
-    ids=["bound-only-exact", "chaos-compare-empirical"],
+    ids=["bound-only-exact", "chaos-compare-empirical", "bound-only-expfun"],
 )
 def test_traced_run(cli_args, z_count, tmp_path):
     metrics, output = _traced(cli_args, tmp_path)
     assert metrics["cli.rows"] == z_count
     assert metrics["cli.output_bytes"] == output.stat().st_size
+    untraced = subprocess.run([sys.executable, "-m", "nubes", *cli_args, "--output", "-"],
+                              cwd=ROOT, env=_env(), capture_output=True, timeout=120)
+    assert untraced.returncode == 0 and untraced.stdout == output.read_bytes()
 
 
 @pytest.mark.parametrize(

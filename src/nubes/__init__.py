@@ -10,7 +10,7 @@ bounds     The non-uniform bound engine with pluggable tail models; the chaos
            plug-in tail reads either kind of ECDF.
 empirical  ECDFs from sorted samples or per-chunk threshold counts,
            discrepancy curves, DKW bands, certification.
-sampling   Reproducible chunked Philox substreams, optionally reduced per chunk.
+sampling   Reproducible chunked SFC64 substreams, optionally reduced per chunk.
 cli        Scenario runner with bit-stable CSV/JSON output.
 
 Each public name lives on its submodule only (nubes.bounds.EmpiricalTail,

@@ -24,7 +24,7 @@ it reject another q or rank when they start.
 
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
-Philox substreams keyed by chunk index, each chunk is drawn in row blocks in
+SFC64 substreams keyed by chunk index, each chunk is drawn in row blocks in
 row order, and reductions run in chunk order; the pool never holds more
 processes than chunks or usable CPUs).  --workers defaults to every usable
 CPU; --workers 1, like a one-chunk run, samples in this process.  The JSON
@@ -101,7 +101,7 @@ _OUTPUT = {
                 "at most one per chunk and per usable CPU (does not affect output bytes)"),
 }
 _SAMPLES = {
-    "seed": (int, 0, "seed of the Philox substream family"),
+    "seed": (int, 0, "seed of the SFC64 substream family"),
     "samples": (int, 100_000, "number of Monte Carlo samples / paths"),
 }
 _SLACK = {"slack-k": (float, 3.0, "certification slack in binomial standard errors")}
@@ -217,8 +217,7 @@ def _validate(cfg: dict):
         raise UsageError("--output is required")
     if cfg["z-count"] < 1:
         raise UsageError(f"--z-count must be >= 1, got {cfg['z-count']}")
-    if not 0.0 <= cfg["z-max"] - cfg["z-min"] < math.inf:  # else np.linspace warns and makes nan
-        raise UsageError(f"--z-min and --z-max must be finite and in order, got {cfg['z-min']} and {cfg['z-max']}")
+    _check_span(cfg, "z-min", "z-max")
     if cfg["workers"] is not None and cfg["workers"] < 1:  # stein-check and bound-only never reach the sampler
         raise UsageError(f"--workers must be >= 1, got {cfg['workers']}")
     if not 0.0 <= cfg.get("slack-k", 0.0) < math.inf:  # certify sees k only after sampling
@@ -226,8 +225,7 @@ def _validate(cfg: dict):
     if scenario == "stein-check":
         if cfg["x-count"] < 1:
             raise UsageError(f"--x-count must be >= 1, got {cfg['x-count']}")
-        if not 0.0 <= cfg["x-max"] - cfg["x-min"] < math.inf:
-            raise UsageError(f"--x-min and --x-max must be finite and in order, got {cfg['x-min']} and {cfg['x-max']}")
+        _check_span(cfg, "x-min", "x-max")
     if scenario == "chaos-compare":
         _parse_alphas(cfg["alphas"])
     if scenario == "bound-only" and cfg["discrepancy"] is None:
@@ -235,6 +233,14 @@ def _validate(cfg: dict):
     needed = {"markov": "markov-moment", "major": "c-q"}.get(cfg.get("tail"))
     if needed is not None and cfg[needed] is None:
         raise UsageError(f"--tail {cfg['tail']} requires --{needed}")
+
+
+def _check_span(cfg: dict, lo: str, hi: str):
+    a, b = cfg[lo], cfg[hi]
+    if not (math.isfinite(a) and math.isfinite(b) and a <= b):
+        raise UsageError(f"--{lo} and --{hi} must be finite and in order, got {a} and {b}")
+    if b - a == math.inf:  # else np.linspace warns and makes nan
+        raise UsageError(f"--{hi} minus --{lo} overflows: a grid from {a} to {b} is too wide to step")
 
 
 def _parse_alphas(text: str) -> tuple[float, ...]:

@@ -1,7 +1,7 @@
-"""Reproducible parallel sampling on Philox substreams.
+"""Reproducible parallel sampling on SFC64 substreams.
 
-Work is split into fixed-size chunks; chunk i always draws from the
-counter-based generator Philox seeded with SeedSequence(seed, spawn_key=(i,)).
+Work is split into fixed-size chunks; chunk i always draws from numpy's SFC64
+bit generator seeded with SeedSequence(seed, spawn_key=(i,)).
 The chunk layout depends only on (total, chunk_size), never on the worker
 count, and partial results are combined in chunk-index order, so every
 reduction is a pure function of (seed, total, chunk_size) regardless of how
@@ -35,7 +35,9 @@ import numpy as np
 
 __all__ = ["substream", "chunk_counts", "block_rows", "layout", "worker_count", "map_chunks"]
 
-BIT_GENERATOR = np.random.Philox
+# numpy's fastest native bit generator: its normals cost about two thirds of
+# Philox's.  The streams need only spawn-key seeding, no counter or jump.
+BIT_GENERATOR = np.random.SFC64
 # normals drawn and reduced per row block: 128 KiB of float64, so a block and
 # its temporaries stay in cache.  At 2^15 and 2^16 the chaos temporaries were
 # handed back to the OS and faulted in again on every block.

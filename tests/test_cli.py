@@ -452,15 +452,18 @@ def test_output_layout(args, parameters, columns, summary, tmp_path):
         (["bound-only", "--discrepancy", "1", "--tail", "empirical"], None, "tail"),
         (["chaos-compare", "--slack-k", "nan", "--samples", "10"], None, "slack-k"),
         (["bound-only", "--discrepancy", "1", "--z-max", "inf"], None, "z-max"),
-        (["chaos-compare", "--z-min=-1e308", "--z-max", "1e308", "--samples", "10"], None, "z-max"),
+        (["chaos-compare", "--z-min=-1e308", "--z-max", "1e308", "--samples", "10"], None,
+         "--z-max minus --z-min overflows"),
         (["stein-check", "--x-max", "inf"], None, "x-max"),
+        (["stein-check", "--x-min=-1e308", "--x-max", "1e308"], None, "--x-max minus --x-min overflows"),
         (["stein-check", "--x-count", "0"], None, "--x-count must be >= 1"),
         (["stein-check"], [1, 2], "must hold a JSON object"),
         (["stein-check", "--config", "."], None, "cannot read config file"),  # a directory
     ],
     ids=["chaos-seed", "expfun-seed", "chaos-samples", "expfun-samples", "slack-k", "stein-workers",
          "bound-workers", "format-key", "chaos-tail-expfun", "bound-tail-empirical", "slack-k-nan",
-         "z-max-inf", "z-span-overflow", "x-max-inf", "x-count-zero", "config-array", "config-directory"],
+         "z-max-inf", "z-span-overflow", "x-max-inf", "x-span-overflow", "x-count-zero", "config-array",
+         "config-directory"],
 )
 def test_rejection_names_the_flag(args, file_cfg, name, tmp_path, capsys):
     if file_cfg is not None:

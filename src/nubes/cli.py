@@ -24,8 +24,9 @@ it reject another q or rank when they start.
 
 Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
-SFC64 substreams keyed by chunk index, each chunk is drawn in row blocks in
-row order, and reductions run in chunk order; the pool never holds more
+SFC64 substreams keyed by chunk index, each chunk is drawn in cache-sized
+blocks in a fixed order, one row per chaos sample or per time step across a
+chunk's paths, and reductions run in chunk order; the pool never holds more
 processes than chunks or usable CPUs).  --workers defaults to every usable
 CPU; --workers 1, like a one-chunk run, samples in this process.  The JSON
 summary of chaos-compare and expfun-compare names the bit generator, chunk

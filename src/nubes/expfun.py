@@ -22,9 +22,12 @@ and bounds whose exponentials overflow, or whose moments underflow the normal
 float range, raise ValueError naming a and t.  Sampling uses exact Gaussian
 increments on a uniform grid and trapezoid quadrature of the integrand; paths
 are embarrassingly parallel over fixed substream chunks (worker-scheduling
-independent).  Inside a chunk `sampling.draw_rows` draws the paths as rows of
-increments and each path is integrated from its own row, so the values are
-those of the whole chunk.  The closed-form evaluators are pure.
+independent).  Inside a chunk `sampling.draw_blocks` draws the increments in
+step order, each time step one row across all the chunk's paths, and
+`integral_from_increments` integrates all the paths at once, a step at a
+time, carrying their running sums in a `PathSums` from block to block, so
+the values are those of the whole chunk drawn step-major.  The closed-form
+evaluators are pure.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import draw_rows, map_chunks, worker_count
+from .sampling import draw_blocks, map_chunks, worker_count
 
 __all__ = [
     "ExpFunParams",
@@ -44,6 +47,7 @@ __all__ = [
     "mean_mt",
     "variance_sigma2",
     "moments",
+    "PathSums",
     "integral_from_increments",
     "sample_batch",
     "standardize",
@@ -146,29 +150,76 @@ def moments(params: ExpFunParams) -> ExpFunMoments:
     return ExpFunMoments(m_t=mean_mt(params.a, params.t), sigma2_t=variance_sigma2(params.a, params.t))
 
 
-def integral_from_increments(a: float, t: float, increments: np.ndarray) -> np.ndarray:
+class PathSums:
+    """The running sums of `integral_from_increments` over paths fed in pieces.
+
+    For paths of shape `shape` and `n_steps` steps in all it holds the steps
+    fed so far, B at the last node fed and the trapezoid sum so far, which
+    starts at 1/2, the half weight of node 0.
+    """
+
+    def __init__(self, n_steps: int, shape: tuple = ()):
+        if int(n_steps) != n_steps or n_steps < 1:
+            raise ValueError(f"n_steps must be an integer >= 1, got {n_steps}")
+        self.n_steps = int(n_steps)
+        self.shape = tuple(shape)
+        self.steps = 0
+        self.brownian = np.zeros(math.prod(self.shape))
+        self.total = np.full(math.prod(self.shape), 0.5)
+
+
+def integral_from_increments(
+    a: float, t: float, increments: np.ndarray, sums: PathSums | None = None
+) -> np.ndarray | None:
     """Trapezoid quadrature of exp(a s + B_s) from Brownian increments of variance t/n.
 
-    `increments` has shape (..., n_steps); the path starts at B_0 = 0 and the
-    integrand is evaluated on the node values of the cumulated path.
+    `increments` has shape (..., k): k steps of the paths `...`, which start
+    at B_0 = 0; the integrand is evaluated on the node values of the
+    cumulated path.  Without `sums` the k steps are the whole path (n = k)
+    and the integrals are returned.  The paths can also be fed in pieces, in
+    order, through one `PathSums(n, shape)`: each call adds its k steps to
+    `sums`, the call that completes the n steps returns the integrals and the
+    calls before it return None.  The sums run strictly in step order, so any
+    split gives the bits of one call.
+
+    The increments are never written.  The work runs a step at a time across
+    all paths, so the increments are read contiguously when their step axis
+    is the slow one, as in the transpose of a step-major block.
     """
+    if not (math.isfinite(t) and t > 0.0):
+        raise ValueError(f"t must be finite and > 0, got {t}")
     w = np.asarray(increments, dtype=float)
-    n = w.shape[-1]
-    step = t / n
-    y = np.cumsum(w, axis=-1)  # a new array: the increments are never written
-    y += a * (step * np.arange(1, n + 1))
-    np.exp(y, out=y)  # integrand at nodes 1..n; node 0 is 1
-    return step * (0.5 + np.sum(y[..., :-1], axis=-1) + 0.5 * y[..., -1])
+    if w.ndim == 0 or w.shape[-1] == 0:
+        raise ValueError(f"increments must hold at least one step, got shape {w.shape}")
+    k = w.shape[-1]
+    sums = PathSums(k, w.shape[:-1]) if sums is None else sums
+    if w.shape[:-1] != sums.shape:
+        raise ValueError(f"increments of paths {w.shape[:-1]} do not match the running sums of paths {sums.shape}")
+    if sums.steps + k > sums.n_steps:
+        raise ValueError(f"{k} more steps exceed the {sums.n_steps} steps of the paths ({sums.steps} fed)")
+    step = t / sums.n_steps
+    dw = w.reshape(-1, k).T  # one row per step
+    y = np.empty(dw.shape)  # the exponent a s_j + B_j at this call's nodes, then the integrand
+    for j, (d, row) in enumerate(zip(dw, y), sums.steps + 1):
+        sums.brownian += d
+        np.add(sums.brownian, a * (step * j), out=row)
+    sums.steps += k
+    np.exp(y, out=y)
+    done = sums.steps == sums.n_steps
+    if done:
+        y[-1] *= 0.5  # node n has half weight
+    for row in y:
+        sums.total += row
+    return (step * sums.total).reshape(sums.shape)[()] if done else None
 
 
 def _path_chunk(rng: np.random.Generator, count: int, a: float, t: float, n_steps: int) -> np.ndarray:
     scale = math.sqrt(t / n_steps)
-
-    def row_values(w):
+    sums = PathSums(n_steps, (count,))
+    for w in draw_blocks(rng, n_steps, count):  # a block of time steps across all paths
         w *= scale
-        return integral_from_increments(a, t, w)
-
-    return draw_rows(rng, count, n_steps, row_values)
+        f = integral_from_increments(a, t, w.T, sums)
+    return f
 
 
 def sample_batch(

@@ -7,12 +7,15 @@ count, and partial results are combined in chunk-index order, so every
 reduction is a pure function of (seed, total, chunk_size) regardless of how
 many processes execute it.
 
-Inside a chunk both samplers run `draw_rows`, the one draw loop: it draws
-block_rows(width) rows at a time, in row order, from the chunk's one
+Inside a chunk both samplers draw from `draw_blocks`, the one draw loop: it
+draws block_rows(width) rows at a time, in order, from the chunk's one
 generator into one reused buffer of about BLOCK_NORMALS normals, which stays
-in a core's cache.  The samplers compute each row's value from that row
-alone, in a fixed order and without BLAS, so the values do not depend on the
-block size, the BLAS build or its thread count.
+in a core's cache.  The chaos sampler draws one row per sample (through
+`draw_rows`) and computes each sample from its own row; the path sampler
+draws one row per time step, across all the chunk's paths, and carries each
+path's running sums from step to step.  Both compute in a fixed order and
+without BLAS, so the values do not depend on the block size, the BLAS build
+or its thread count.
 
 A run may reduce each chunk inside its own job (`map_chunks(..., reduce=)`):
 the job then returns an integer array instead of the samples and the run
@@ -67,21 +70,33 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK_NORMALS // width)
 
 
-def draw_rows(rng: np.random.Generator, count: int, width: int, row_values) -> np.ndarray:
-    """row_values(w) over `count` rows of `width` normals drawn from `rng`.
+def draw_blocks(rng: np.random.Generator, count: int, width: int):
+    """Yield `count` rows of `width` normals from `rng`, in order.
 
-    The rows are drawn in order, block_rows(width) at a time, into one reused
-    buffer w that `row_values` may overwrite; it returns one value per row of
-    w, each from that row alone, so the result equals row_values of the
-    (count, width) array drawn whole.
+    Each yield is the next block_rows(width) rows (fewer in the last block),
+    drawn into one reused buffer that the caller may overwrite before it asks
+    for the next block.
     """
     rows = block_rows(width)
     block = np.empty((min(rows, count), width))
-    out = np.empty(count)
     for start in range(0, count, rows):
         w = block[: min(rows, count - start)]
         rng.standard_normal(w.shape, out=w)
+        yield w
+
+
+def draw_rows(rng: np.random.Generator, count: int, width: int, row_values) -> np.ndarray:
+    """row_values(w) over `count` rows of `width` normals drawn from `rng`.
+
+    `row_values` gets each block of `draw_blocks`, which it may overwrite,
+    and returns one value per row of it, each from that row alone, so the
+    result equals row_values of the (count, width) array drawn whole.
+    """
+    out = np.empty(count)
+    start = 0
+    for w in draw_blocks(rng, count, width):
         out[start : start + len(w)] = row_values(w)
+        start += len(w)
     return out
 
 

@@ -151,8 +151,48 @@ class TestSampling:
         expfun.integral_from_increments(0.2, 0.1, w)
         assert np.array_equal(w, before)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(0, 3),
+        st.floats(-2.0, 2.0),
+        st.floats(1e-3, 2.0),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_any_split_equals_one_call(self, n, paths, a, t, seed, data):
+        shape = (paths,) if paths else ()  # `paths` paths, or one path without a path axis
+        w = np.random.default_rng(seed).standard_normal((*shape, n)) * math.sqrt(t / n)
+        cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=8)) if n > 1 else set())
+        sums = expfun.PathSums(n, shape)
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            got = expfun.integral_from_increments(a, t, w[..., lo:hi], sums)
+            assert (got is None) == (hi < n)
+        assert np.array_equal(got, expfun.integral_from_increments(a, t, w))
+
+    @pytest.mark.parametrize(
+        "t, increments, sums",
+        [
+            (0.0, np.ones(3), None),
+            (-1.0, np.ones(3), None),
+            (math.nan, np.ones(3), None),
+            (math.inf, np.ones(3), None),
+            (0.1, np.empty(0), None),
+            (0.1, np.empty((3, 0)), None),
+            (0.1, np.float64(0.5), None),
+            (0.1, np.ones((3, 5)), expfun.PathSums(4, (3,))),
+            (0.1, np.ones((3, 2)), expfun.PathSums(4, (2,))),
+            (0.1, np.ones(2), expfun.PathSums(4, (1,))),
+        ],
+        ids=["t-zero", "t-negative", "t-nan", "t-inf", "no-steps", "no-steps-3-paths", "no-step-axis",
+             "more-steps-than-sums", "paths-differ", "no-path-axis"],
+    )
+    def test_rejects_invalid_input(self, t, increments, sums):
+        with pytest.raises(ValueError):
+            expfun.integral_from_increments(0.0, t, increments, sums)
+
     def test_consumes_exactly_n_steps(self):
-        # each path consumes n_steps normals, drawn in row order
+        # each path consumes n_steps normals, drawn in step order
         from nubes.sampling import substream
 
         rng_a = substream(5, 0)

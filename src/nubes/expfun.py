@@ -19,7 +19,9 @@ are evaluated here.  The sum of the two concentration bounds,
 `abs_tail_bound`, bounds P(|F~_t| > x); it is the tail `bounds.evaluate_curve`
 takes for this law, with params and m bound by functools.partial.  Moments
 and bounds whose exponentials overflow, or whose moments underflow the normal
-float range, raise ValueError naming a and t.  Sampling uses exact Gaussian
+float range, raise ValueError naming a and t, and so does sampling at a t
+below about 1e-19, where float64 cannot resolve F_t around its mean
+(`RESOLUTION`).  Sampling uses exact Gaussian
 increments on a uniform grid and trapezoid quadrature of the integrand; paths
 are embarrassingly parallel over fixed substream chunks (worker-scheduling
 independent).  Inside a chunk `sampling.draw_blocks` draws the increments in
@@ -59,6 +61,11 @@ __all__ = [
 ]
 
 PATH_CHUNK = 4096  # fixed chunk size (in paths) of the parallel sampling layout
+# the float64 step ulp(m_t)/sigma_t of a standardized sample may be at most 2^-20
+# (about 1e-6): rounding F_t to float64 then moves the ECDF by less than 1e-6.
+# sigma_t/m_t ~ sqrt(t/3) at small t, so this holds for every t above
+# 3 * 2^-64 ~ 1.6e-19 and fails below about 5e-20
+RESOLUTION = 2.0**-20
 
 
 @dataclass(frozen=True)
@@ -227,13 +234,20 @@ def sample_batch(
 ) -> np.ndarray:
     """n_paths realizations, each the trapezoid rule on n_steps >= 2 cells, on
     the fixed substream layout of PATH_CHUNK paths per chunk (worker-count
-    invariant; every usable CPU by default).
+    invariant; every usable CPU by default).  A t whose F_t float64 cannot
+    resolve, where sigma_t spans fewer than 2^20 ulps of m_t (RESOLUTION; t
+    below about 1e-19), raises ValueError before any sampling.
 
     With `reduce`, the sum of reduce(chunk) over the chunks instead (see
     `sampling.map_chunks`).
     """
     if int(n_steps) != n_steps or n_steps < 2:
         raise ValueError(f"n_steps must be an integer >= 2, got {n_steps}")
+    m = moments(params)
+    if math.ulp(m.m_t) > RESOLUTION * m.sigma_t:
+        raise ValueError(f"t={params.t!r} is below the float64 resolution of F_t: sigma_t is "
+                         f"{m.sigma_t / math.ulp(m.m_t):.3g} ulps of m_t, fewer than the 2^20 sampling "
+                         "needs (every t above 1.6e-19 has them)")
     args = (params.a, params.t, int(n_steps))
     return map_chunks(_path_chunk, args, seed, n_paths, PATH_CHUNK, worker_count(workers), reduce)
 

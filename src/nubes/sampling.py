@@ -25,14 +25,26 @@ ever holds more than one chunk of samples.
 Workers: a run uses every usable CPU unless it is given a worker count
 (`workers=None`, the default of `map_chunks` and of the samplers built on
 it); `workers=1` runs every chunk in this process.  A pool starts only for a
-run of more than one chunk and more than one worker, and only then is
-`concurrent.futures` imported.
+run of more than one chunk and more than one worker, on Linux.  It is a work
+queue of `os.fork` children, whatever the multiprocessing start method: the
+parent writes every chunk index into one shared pipe, as fast as the pipe
+takes them, and each child takes one index at a time, runs the chunk and
+sends the pickled result back over a pipe of its own.  The parent puts the
+results in chunk order and reaps every child before `map_chunks` returns or
+raises, so the children's CPU time and memory are in its RUSAGE_CHILDREN.
+Elsewhere every chunk runs in this process, as with `workers=1` (macOS
+system libraries are not safe in a forked child that does not exec).
 """
 
 from __future__ import annotations
 
 import math
 import os
+import pickle
+import select
+import signal
+import struct
+import sys
 
 import numpy as np
 
@@ -131,19 +143,149 @@ def _run_chunk(job):
     return samples if reduce is None else reduce(samples)
 
 
+_INDEX = struct.Struct("<q")  # a chunk index in the task pipe
+# a message from a worker: chunk index and pickle length, -1 when it takes the chunk
+_MESSAGE = struct.Struct("<qq")
+
+
+def _write_all(fd: int, data: bytes):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """`size` bytes from `fd`, or fewer if it reaches end of file first."""
+    parts = []
+    while size:
+        part = os.read(fd, min(size, 1 << 16))  # what a pipe holds; a larger buffer is only shrunk again
+        if not part:
+            break
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
+def _serve(jobs: list, tasks: int, out: int):
+    """Worker loop: run the chunks whose indices this process takes from `tasks`
+    until the queue is closed and empty, and send each outcome over `out`."""
+    while raw := os.read(tasks, _INDEX.size):  # a whole index: every write is whole and atomic
+        (index,) = _INDEX.unpack(raw)
+        _write_all(out, _MESSAGE.pack(index, -1))
+        try:
+            outcome = (True, _run_chunk(jobs[index]))  # looked up at each call, so a wrapper of it applies
+        except Exception as exc:  # an interrupt ends the worker, and the parent names its chunk
+            import traceback
+
+            outcome = (False, exc, traceback.format_exc())
+        try:
+            payload = pickle.dumps(outcome)
+        except Exception as exc:  # a result or an exception that does not pickle: send why
+            payload = pickle.dumps((False, exc, f"pickling {outcome[1]!r}"))
+        _write_all(out, _MESSAGE.pack(index, len(payload)) + payload)
+
+
+def _ended(status: int) -> str:
+    if os.WIFSIGNALED(status):
+        return f"was killed by {signal.Signals(os.WTERMSIG(status)).name}"
+    return f"exited with status {os.waitstatus_to_exitcode(status)}"
+
+
+def _run_forked(jobs: list, processes: int) -> list:
+    """_run_chunk over `jobs`, in job order, run by `processes` forked workers.
+
+    The workers take chunk indices from one pipe as they finish chunks.  The
+    pipe is filled without blocking, a PIPE_BUF of indices at a time, while
+    the results are read, so a queue longer than the pipe holds never stalls
+    a worker that waits to send a result.  A worker's exception is raised
+    here with its type and message; a worker that ends without the result of
+    a chunk it took raises ChildProcessError naming that chunk.  Every worker
+    is reaped, killed first if the run failed, before this returns or raises.
+    """
+    queue = b"".join(map(_INDEX.pack, range(len(jobs))))
+    sent = 0
+    tasks_r, tasks_w = os.pipe()
+    os.set_blocking(tasks_w, False)
+    workers = {}  # result pipe -> [pid, index of the chunk it runs or None]
+    parts = [None] * len(jobs)
+    done = 0
+    try:
+        for _ in range(processes):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in (tasks_w, out_r, *workers):
+                        os.close(fd)
+                    _serve(jobs, tasks_r, out_w)
+                    status = 0
+                finally:
+                    os._exit(status)  # never back into the caller: no atexit hook, no buffer flushed twice
+            os.close(out_w)
+            workers[out_r] = [pid, None]
+        os.close(tasks_r)
+        tasks_r = None
+        poller = select.poll()
+        for fd in workers:
+            poller.register(fd, select.POLLIN)
+        while done < len(jobs):
+            while tasks_w is not None:  # hand out what the pipe takes, PIPE_BUF bytes at a time
+                try:
+                    sent += os.write(tasks_w, queue[sent:sent + select.PIPE_BUF])  # all or nothing
+                except BlockingIOError:
+                    break
+                if sent == len(queue):
+                    os.close(tasks_w)  # the workers read end of file once the queue is empty
+                    tasks_w = None
+            if not workers:  # a worker ended after it took a chunk but before it said so
+                raise ChildProcessError(f"no worker returned the result of chunk {parts.index(None)}")
+            for fd, _ in poller.poll():
+                message = _read_exactly(fd, _MESSAGE.size)
+                if len(message) == _MESSAGE.size:
+                    index, size = _MESSAGE.unpack(message)
+                    if size < 0:
+                        workers[fd][1] = index
+                        continue
+                    payload = _read_exactly(fd, size)
+                    if len(payload) == size:
+                        outcome = pickle.loads(payload)
+                        if not outcome[0]:
+                            raise outcome[1] from Exception(f"in the worker of chunk {index}:\n{outcome[2]}")
+                        parts[index] = outcome[1]
+                        workers[fd][1] = None
+                        done += 1
+                        continue
+                poller.unregister(fd)  # end of file: the worker has ended
+                os.close(fd)
+                pid, held = workers.pop(fd)
+                status = os.waitpid(pid, 0)[1]
+                if held is not None:
+                    raise ChildProcessError(f"the worker sampling chunk {held} {_ended(status)}")
+        return parts
+    finally:
+        for fd in (tasks_r, tasks_w):
+            if fd is not None:
+                os.close(fd)
+        for fd, (pid, _) in workers.items():
+            if done < len(jobs):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
 def map_chunks(
     fn, args: tuple, seed: int, total: int, chunk_size: int, workers: int | None = None, reduce=None
 ) -> np.ndarray:
     """Concatenate fn(rng_i, count_i, *args) over the fixed chunk layout.
 
-    `fn` must be a module-level function (it is pickled by reference when
-    workers > 1) returning a 1-d array of length count_i.  With `reduce`, a
-    picklable callable, each chunk's job returns reduce(samples), an integer
-    array of the same shape for every chunk (it may overwrite the samples),
-    and the result is the sum of those arrays.  `workers` defaults to the
-    usable CPU count (`worker_count`); the pool starts min(workers, chunks,
-    usable CPUs) processes, and none for one worker or one chunk.  The result
-    is identical for any `workers` value.
+    `fn` returns a 1-d array of length count_i.  With `reduce`, each chunk's
+    job returns reduce(samples), an integer array of the same shape for every
+    chunk (it may overwrite the samples), and the result is the sum of those
+    arrays.  A pool worker pickles each job's result, never `fn` or
+    `reduce`.  `workers` defaults to the usable CPU count (`worker_count`);
+    the pool forks min(workers, chunks, usable CPUs) processes, and none for
+    one worker or one chunk.  The result is identical for any `workers` value.
     """
     if seed < 0:  # numpy would reject it inside the first chunk, maybe in a worker
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -152,12 +294,8 @@ def map_chunks(
         for i, c in enumerate(chunk_counts(total, chunk_size))
     ]
     workers = worker_count(workers)
-    if workers <= 1 or len(jobs) == 1:
+    if workers <= 1 or len(jobs) == 1 or sys.platform != "linux":
         parts = [_run_chunk(j) for j in jobs]
     else:
-        from concurrent.futures import ProcessPoolExecutor  # imported only by the runs that pool
-
-        # the fork pool starts all max_workers processes at once
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as ex:
-            parts = list(ex.map(_run_chunk, jobs, chunksize=1))
+        parts = _run_forked(jobs, min(workers, len(jobs), _usable_cpus()))
     return np.concatenate(parts) if reduce is None else np.sum(parts, axis=0)

@@ -1,8 +1,7 @@
-import concurrent.futures
-import functools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import warnings
@@ -14,7 +13,7 @@ import pytest
 import nubes
 from nubes import bounds, chaos, cli, empirical, expfun, sampling
 from oracles import csv_bytes, expfun_moments_mp
-from test_sampling import RecordingPool
+from test_sampling import no_child_left, no_fork, recording_pool
 
 
 def run_cli(args):
@@ -291,9 +290,12 @@ class TestBoundOnlyScenario:
         (["bound-only", "--discrepancy", "1", "--tail", "expfun", "--t", "1000"], "a=0.0, t=1000.0"),
         (["expfun-compare", "--t", "100", "--samples", "10", "--n-steps", "10"], "a=0.0, t=100.0"),
         (["expfun-compare", "--t", "1e-120", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-120 underflow"),
+        (["expfun-compare", "--t", "1e-30", "--samples", "100", "--n-steps", "10"],
+         "t=1e-30 is below the float64 resolution of F_t"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
-         "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow"],
+         "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow",
+         "expfun-below-float-resolution"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line
@@ -325,17 +327,20 @@ def test_expfun_summary_moments_match_mpmath(a, t, tmp_path):
 
 
 @pytest.mark.parametrize("t", [1e-46, 1e-50, 1e-60, 1e-100])
-def test_expfun_uniform_bound_at_tiny_t(t, tmp_path):
+def test_expfun_uniform_bound_at_tiny_t(t, tmp_path, capsys):
     # sqrt(4 t^7 e^{8t})/sigma_t^2 is near 6 sqrt(t); t^7 and sigma_t^4 underflow
-    # while sigma_t^2 is still a normal float
-    out = tmp_path / "ef.json"
-    args = ["expfun-compare", "--t", t, "--samples", "100", "--n-steps", "10", "--format", "json"]
-    assert run_cli(args + ["--output", out]) in (0, 2)
-    summary = json.loads(out.read_text())["summary"]
+    # while sigma_t^2 is still a normal float.  expfun-compare rejects these t,
+    # whose samples float64 cannot resolve, so the summary's uniform bound is
+    # read from the library
+    args = ["expfun-compare", "--t", t, "--samples", "100", "--n-steps", "10", "--output", tmp_path / "ef.json"]
+    assert run_cli(args) == 1 and "below the float64 resolution" in capsys.readouterr().err
+    params = expfun.ExpFunParams(a=0.0, t=t)
+    m = expfun.moments(params)
+    uniform_bound = math.sqrt(expfun.discrepancy_sq_upper(params, m))
     with mpmath.workdps(50):
         t_mp = mpmath.mpf(t)
-        want = mpmath.sqrt(4 * t_mp**7 * mpmath.exp(8 * t_mp)) / mpmath.mpf(summary["sigma2_t"])
-        assert abs(summary["uniform_bound"] / want - 1) <= 2e-15
+        want = mpmath.sqrt(4 * t_mp**7 * mpmath.exp(8 * t_mp)) / mpmath.mpf(m.sigma2_t)
+        assert abs(uniform_bound / want - 1) <= 2e-15
 
 
 def test_expfun_tail_at_small_t(tmp_path):
@@ -548,6 +553,22 @@ def test_non_finite_sample_rejected(workers, tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def _kill_own_worker(rng, count, q, alphas):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+def test_dead_worker_is_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(chaos, "_sample_chunk", _kill_own_worker)
+    out = tmp_path / "x.csv"
+    assert run_cli(["chaos-compare", "--samples", "300000", "--workers", "2", "--output", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("nubes: error in scenario chaos-compare: the worker sampling chunk ")
+    assert err.endswith(" was killed by SIGKILL\n") and err.count("\n") == 1
+    assert not out.exists()
+    no_child_left()
+
+
 def _in_memory_rows(zs, samples, bound, uniform):
     # the library route over the whole sample array: ECDF, discrepancy, certify
     ecdf = empirical.build_ecdf(samples)
@@ -611,20 +632,23 @@ def test_runtime_never_imports_scipy(workers):
     assert _run_python(code).strip() == "[]"
 
 
-def test_pool_module_imported_only_by_runs_that_pool():
-    # importing nubes.cli, and every run that samples in this process, leaves
-    # concurrent.futures out; bound-only and stein-check never sample
+def test_no_run_imports_numpy_ma_or_concurrent():
+    # both cost 10-25 ms to import; np.unique imports numpy.ma.  The sampled
+    # runs span several chunks, so at --workers 2 the pool does the sampling.
     runs = [["stein-check", "--z-count", "3", "--x-count", "21"],
             ["bound-only", "--discrepancy", "1", "--z-count", "11"],
-            ["chaos-compare", "--samples", "1000", "--z-count", "11"],
-            ["chaos-compare", "--samples", "300000", "--z-count", "11", "--workers", "1"]]
+            ["chaos-compare", "--samples", "300000", "--z-count", "11"],
+            ["expfun-compare", "--samples", "10000", "--n-steps", "20", "--z-count", "11"]]
     code = ("import os, sys\n"
             "from nubes import cli\n"
-            "print('concurrent.futures.process' in sys.modules)\n"
             f"for argv in {runs!r}:\n"
-            "    assert cli.main(argv + ['--output', os.devnull]) == 0, argv\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'concurrent'))\n")
-    assert _run_python(code).split("\n") == ["False", "[]", ""]
+            "    for workers in ('1', '2'):\n"
+            "        for fmt in ('csv', 'json'):\n"
+            "            argv_ = argv + ['--workers', workers, '--format', fmt, '--output', os.devnull]\n"
+            "            assert cli.main(argv_) == 0, argv_\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'concurrent' or m.split('.')[:2] == ['numpy', 'ma']))\n")
+    assert _run_python(code).strip() == "[]"
 
 
 def _peak_rss_kib(samples: int) -> int:
@@ -672,22 +696,24 @@ class TestDefaultWorkers:
                    "--seed", "5", "--z-count", "21", "--format", "json"],
     }
 
-    @pytest.mark.parametrize("scenario", sorted(RUNS))
-    def test_default_pool_is_the_usable_cpu_count(self, scenario, tmp_path, monkeypatch):
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        """Sizes of the pools started, which run in this process; two usable CPUs."""
         sizes = []
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(RecordingPool, sizes))
+        monkeypatch.setattr(sampling, "_run_forked", recording_pool(sizes))
+        monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        return sizes
+
+    @pytest.mark.parametrize("scenario", sorted(RUNS))
+    def test_default_pool_is_the_usable_cpu_count(self, scenario, tmp_path, sizes):
         assert run_cli(self.RUNS[scenario] + ["--output", tmp_path / "out"]) == 0
         assert sizes == [2]
 
     @pytest.mark.parametrize("scenario", sorted(RUNS))
-    def test_one_worker_starts_no_pool(self, scenario, tmp_path, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+    def test_one_worker_starts_no_pool(self, scenario, tmp_path, sizes):
         assert run_cli(self.RUNS[scenario] + ["--workers", "1", "--output", tmp_path / "out"]) == 0
+        assert sizes == []
 
     @pytest.mark.parametrize("scenario", sorted(RUNS))
     def test_default_and_one_worker_write_the_same_bytes(self, scenario, tmp_path):

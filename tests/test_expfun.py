@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nubes import expfun
+from nubes import expfun, sampling
 from nubes.bounds import tail_probability
 from nubes.expfun import ExpFunMoments, ExpFunParams
 from oracles import expfun_mean_quad, expfun_moments_mp, expfun_variance_quad
@@ -206,6 +206,21 @@ class TestSampling:
         one = expfun.sample_batch(params, 50, 9000, seed=2, workers=1)
         two = expfun.sample_batch(params, 50, 9000, seed=2, workers=2)
         assert np.array_equal(one, two)
+
+    def test_rejects_t_below_float_resolution(self, monkeypatch):
+        # at t = 1e-30 sigma_t is about 3 ulps of m_t: 100 standardized samples took
+        # 17 distinct values; it is rejected before any chunk is sampled
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(sampling, "_run_chunk", no_sampling)
+        with pytest.raises(ValueError, match=r"t=1e-30 is below the float64 resolution .* 2\^20"):
+            expfun.sample_batch(ExpFunParams(a=0.0, t=1e-30), 10, 100, seed=0)
+        monkeypatch.undo()
+        for t in (2e-19, 1e-7):  # the limit, and the smallest t the CI run samples
+            m = expfun.moments(ExpFunParams(a=0.0, t=t))
+            assert math.ulp(m.m_t) <= expfun.RESOLUTION * m.sigma_t
+            assert expfun.sample_batch(ExpFunParams(a=0.0, t=t), 10, 100, seed=0).size == 100
 
     def test_positivity_and_support(self, expfun_t005):
         f = expfun_t005["f"]

@@ -1,8 +1,12 @@
-import concurrent.futures
+import contextlib
 import functools
 import hashlib
 import math
 import os
+import signal
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -130,27 +134,26 @@ class TestReduce:
             map_chunks(_draw_with_nan, (), 5, 1000, 256, workers, reduce=reduce)
 
 
-class RecordingPool:
-    """Records max_workers and maps in this process; starts no process."""
+def recording_pool(sizes: list):
+    """A stand-in for `sampling._run_forked`: records the pool size and runs the jobs in this process."""
 
-    def __init__(self, sizes, max_workers):
-        sizes.append(max_workers)
+    def run(jobs, processes):
+        sizes.append(processes)
+        return [sampling._run_chunk(job) for job in jobs]
 
-    def __enter__(self):
-        return self
+    return run
 
-    def __exit__(self, *exc):
-        return False
 
-    def map(self, fn, jobs, chunksize=1):
-        return map(fn, jobs)
+def no_fork():
+    raise AssertionError("a process was forked")
 
 
 @pytest.fixture
 def pools(monkeypatch):
     """Pools record their size and start no process; set `.cpus` for the usable CPU count."""
     record = types.SimpleNamespace(sizes=[], cpus=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", functools.partial(RecordingPool, record.sizes))
+    monkeypatch.setattr(sampling, "_run_forked", recording_pool(record.sizes))
+    monkeypatch.setattr(os, "fork", no_fork)
     monkeypatch.setattr(sampling, "_usable_cpus", lambda: record.cpus)
     return record
 
@@ -205,14 +208,10 @@ class TestMapChunks:
         expfun.sample_batch(expfun.ExpFunParams(a=0.0, t=0.05), 4, expfun.PATH_CHUNK + 1, seed=3)
         assert pools.sizes == [2, 2]
 
-    def test_one_worker_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 64)
+    def test_one_worker_starts_no_pool(self, pools):
+        pools.cpus = 64
         out = map_chunks(_draw, (1.0,), seed=5, total=5000, chunk_size=256, workers=1)
-        assert out.size == 5000
+        assert out.size == 5000 and pools.sizes == []
 
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 7)
@@ -221,6 +220,105 @@ class TestMapChunks:
 
     def test_usable_cpus(self):
         assert 1 <= sampling._usable_cpus() <= (os.cpu_count() or 1)
+
+
+def no_child_left():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@contextlib.contextmanager
+def _deadline(seconds: int):
+    """Raise TimeoutError in this process if the block runs longer than `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _raise_in_chunk(rng, count):
+    if count == 7:
+        raise KeyError(f"chunk of {count}")
+    return rng.standard_normal(count)
+
+
+class _Unpicklable(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+def _raise_unpicklable(rng, count):
+    raise _Unpicklable("not sent")
+
+
+def _kill_own_worker(rng, count):
+    if count == 7:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return rng.standard_normal(count)
+
+
+def _leave_own_worker(rng, count):
+    if count == 7:
+        os._exit(0)
+    return rng.standard_normal(count)
+
+
+def _interrupt_the_parent(rng, count):
+    if count == 7:  # once, as a Ctrl-C would
+        os.kill(os.getppid(), signal.SIGINT)
+        time.sleep(60)
+    return rng.standard_normal(count)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
+class TestForkedPool:
+    """The real pool: its results, a worker's exception, a worker that dies, and a parent
+    interrupted while its workers run; after each, every worker has been reaped."""
+
+    TOTAL = 256 * 5 + 7  # chunk 5, the last, holds 7 samples
+
+    def test_long_queue_never_blocks(self):
+        # 20,000 indices are more than a pipe holds, and their results far more
+        with _deadline(60):
+            got = map_chunks(_draw, (1.0,), seed=8, total=20_000, chunk_size=1, workers=2)
+        assert np.array_equal(got, map_chunks(_draw, (1.0,), seed=8, total=20_000, chunk_size=1, workers=1))
+        no_child_left()
+
+    def test_worker_exception_keeps_its_type_and_message(self):
+        with pytest.raises(KeyError, match="chunk of 7"):
+            map_chunks(_raise_in_chunk, (), seed=1, total=self.TOTAL, chunk_size=256, workers=2)
+        no_child_left()
+
+    def test_exception_that_does_not_pickle_raises_the_pickling_error(self):
+        with pytest.raises(TypeError, match="cannot pickle") as info:
+            map_chunks(_raise_unpicklable, (), seed=1, total=self.TOTAL, chunk_size=256, workers=2)
+        assert "not sent" in str(info.value.__cause__)
+        no_child_left()
+
+    @pytest.mark.parametrize(
+        "fn, ended", [(_kill_own_worker, "was killed by SIGKILL"), (_leave_own_worker, "exited with status 0")],
+        ids=["killed", "silent"],
+    )
+    def test_dead_worker_names_its_chunk(self, fn, ended):
+        with pytest.raises(ChildProcessError, match=f"the worker sampling chunk 5 {ended}"):
+            map_chunks(fn, (), seed=1, total=self.TOTAL, chunk_size=256, workers=2)
+        no_child_left()
+
+    def test_interrupted_parent_reaps_its_workers(self):
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            map_chunks(_interrupt_the_parent, (), seed=1, total=self.TOTAL, chunk_size=256, workers=2)
+        no_child_left()
+        assert time.monotonic() - start < 30  # the sleeping workers were killed, not waited for
 
 
 class TestLayout:

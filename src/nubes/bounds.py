@@ -20,7 +20,8 @@ accuracy as the tail shrinks and reads 0 once the tail is below that.
 `tail_probability` validates x and clamps the values to [0, 1] (clamping only
 tightens the bound since the modeled quantity is a probability).
 `evaluate_curve` is one array expression over the whole grid, whose factor
-|E F| + d is `uniform_bound`, and returns the columnar `BoundCurve`.
+|E F| + d is `uniform_bound`, and returns the columnar `BoundCurve`; it
+raises ValueError where a bound overflows float64.
 
 The chaos bound for a variance-one multiple Wiener-Ito integral of order
 q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
@@ -179,5 +180,10 @@ def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:
     tail = tail_probability(inputs.tail, np.abs(z) / 2.0)
     with np.errstate(over="ignore"):  # z * z = inf past |z| ~ 1.3e154, where the term is 0
         gauss = 2.0 * np.exp(-z * z / 4.0)
-    bounds = uniform_bound(inputs) * (np.sqrt(tail) + gauss)
+    uniform = uniform_bound(inputs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite |E F| + d times a zero term is nan
+        bounds = uniform * (np.sqrt(tail) + gauss)
+    finite = np.isfinite(bounds)
+    if not finite.all():
+        raise ValueError(f"the bound overflows float64 at z = {float(z[~finite][0])!r}, where |E F| + d = {uniform!r}")
     return BoundCurve(z=z, tail_term=tail, gaussian_term=gauss, bounds=bounds)

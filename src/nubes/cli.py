@@ -28,10 +28,11 @@ SFC64 substreams keyed by chunk index, each chunk is drawn in cache-sized
 blocks in a fixed order, one row per chaos sample or per time step across a
 chunk's paths, and reductions run in chunk order, whichever worker ran a
 chunk).  --workers defaults to every usable CPU; --workers 1, like a
-one-chunk run, samples in this process.  The pool is a work queue of forked
-processes on Linux, whatever the multiprocessing start method, and never
-holds more processes than chunks or usable CPUs; elsewhere every run samples
-in this process.  A worker that dies (a signal, the OOM killer) is an error
+one-chunk run, samples in this process.  The pool forks its processes on
+Linux, whatever the multiprocessing start method, and never holds more of
+them than chunks or usable CPUs; each holds one chunk at a time and is given
+the next one as soon as it returns a result.  Elsewhere every run samples in
+this process.  A worker that dies (a signal, the OOM killer) is an error
 that names its chunk.  The JSON summary of chaos-compare and expfun-compare
 names the bit generator, chunk size and chunk count.
 Each scenario builds its output as one numpy record array whose field names

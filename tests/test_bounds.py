@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -304,6 +305,18 @@ class TestEvaluateCurve:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             bounds.evaluate_curve(BoundInputs(0.0, 1.0, UNIT), [])
+
+    @pytest.mark.parametrize(
+        "inputs, grid, z, uniform",
+        [(BoundInputs(0.0, 7e307, UNIT), [-1.0, 0.0, 1.0], "0.0", "7e+307"),  # 7e307 * 3 overflows at z = 0 only
+         (BoundInputs(1e308, 1e308, EXACT), [-1e300, 0.0, 1e300], "-1e+300", "inf")],  # inf * 0 is nan
+        ids=["product", "uniform-bound"],
+    )
+    def test_overflow_raises_naming_the_uniform_bound(self, inputs, grid, z, uniform):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"overflows float64 at z = {z}, where |E F| + d = {uniform}")):
+                bounds.evaluate_curve(inputs, grid)
 
     def test_huge_z_without_warnings(self):
         with warnings.catch_warnings():

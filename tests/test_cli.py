@@ -292,10 +292,14 @@ class TestBoundOnlyScenario:
         (["expfun-compare", "--t", "1e-120", "--samples", "10", "--n-steps", "10"], "a=0.0, t=1e-120 underflow"),
         (["expfun-compare", "--t", "1e-30", "--samples", "100", "--n-steps", "10"],
          "t=1e-30 is below the float64 resolution of F_t"),
+        (["bound-only", "--discrepancy", "7e307", "--tail", "unit", "--z-min=-1", "--z-max", "1", "--z-count", "3"],
+         "the bound overflows float64 at z = 0.0, where |E F| + d = 7e+307"),
+        (["bound-only", "--discrepancy", "1e308", "--mean-abs", "1e308", "--format", "json"],
+         "the bound overflows float64 at z = -8.0, where |E F| + d = inf"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
          "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow",
-         "expfun-below-float-resolution"],
+         "expfun-below-float-resolution", "bound-overflow", "uniform-bound-overflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import gc
 import hashlib
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -279,6 +281,47 @@ def _interrupt_the_parent(rng, count):
     return rng.standard_normal(count)
 
 
+def _claim(marker: str) -> bool:
+    """True in the one process that first calls this for `marker`; it writes its pid there."""
+    try:
+        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    except FileExistsError:
+        return False
+    with os.fdopen(fd, "w") as f:
+        f.write(str(os.getpid()))
+    return True
+
+
+def _pid_after_one_slow_chunk(rng, count, marker):
+    """This worker's pid; the first chunk to start, in whichever worker, sleeps 1 s first."""
+    if _claim(marker):
+        time.sleep(1.0)
+    return np.full(count, float(os.getpid()))
+
+
+class _SlowToUnpickle(np.ndarray):
+    """An array that takes 20 ms to unpickle."""
+
+    def __reduce__(self):
+        return _unpickle_slowly, (np.asarray(self),)
+
+
+def _unpickle_slowly(a):
+    time.sleep(0.02)
+    return a
+
+
+def _killed_after_its_result(rng, count, marker, delay, slow):
+    """A chunk of a few ms; the first to start has its worker SIGKILLed `delay` s after it returns.
+    With `slow` its result takes 20 ms to unpickle, so the worker has died when it is given its next chunk."""
+    time.sleep(0.005)
+    out = rng.standard_normal(count)
+    if _claim(marker):
+        threading.Timer(delay, os.kill, (os.getpid(), signal.SIGKILL)).start()
+        return out.view(_SlowToUnpickle) if slow else out
+    return out
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks on Linux only")
 class TestForkedPool:
     """The real pool: its results, a worker's exception, a worker that dies, and a parent
@@ -286,8 +329,20 @@ class TestForkedPool:
 
     TOTAL = 256 * 5 + 7  # chunk 5, the last, holds 7 samples
 
+    @pytest.fixture(autouse=True)
+    def hygiene(self):
+        """Every outcome closes every fd the pool opened and leaves no file to the garbage collector."""
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            yield
+            gc.collect()
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert [w.message for w in caught if issubclass(w.category, ResourceWarning)] == []
+
     def test_long_queue_never_blocks(self):
-        # 20,000 indices are more than a pipe holds, and their results far more
+        # 20,000 one-sample chunks, each handed out as its worker's last result is read:
+        # no hand-out waits on a worker, and no result is lost or misplaced
         with _deadline(60):
             got = map_chunks(_draw, (1.0,), seed=8, total=20_000, chunk_size=1, workers=2)
         assert np.array_equal(got, map_chunks(_draw, (1.0,), seed=8, total=20_000, chunk_size=1, workers=1))
@@ -312,6 +367,25 @@ class TestForkedPool:
         with pytest.raises(ChildProcessError, match=f"the worker sampling chunk 5 {ended}"):
             map_chunks(fn, (), seed=1, total=self.TOTAL, chunk_size=256, workers=2)
         no_child_left()
+
+    def test_free_worker_takes_the_next_chunk(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        marker = tmp_path / "slow"
+        pids = map_chunks(_pid_after_one_slow_chunk, (str(marker),), seed=1, total=10, chunk_size=1, workers=2)
+        # the worker that slept ran its one chunk; a static round-robin would give it 5 of the 10
+        assert np.count_nonzero(pids == float(marker.read_text())) == 1
+        no_child_left()
+
+    @pytest.mark.parametrize("slow", [False, True], ids=["prompt", "dead-before-its-next-chunk"])
+    def test_worker_killed_after_its_result_names_a_chunk(self, slow, tmp_path, monkeypatch):
+        # whether the kill lands before, while or after the result is sent, the worker
+        # held a chunk when it died: the one it ran or the one it was given next
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        for run in range(20):
+            args = (str(tmp_path / f"claimed-{run}"), run * 5e-5, slow)  # a delay of 0 to 1 ms
+            with pytest.raises(ChildProcessError, match=r"the worker sampling chunk \d+ was killed by SIGKILL"):
+                map_chunks(_killed_after_its_result, args, seed=1, total=10 * 64, chunk_size=64, workers=2)
+            no_child_left()
 
     def test_interrupted_parent_reaps_its_workers(self):
         start = time.monotonic()

@@ -10,11 +10,12 @@ provenance of d differs) and P(|F| > x) comes from a tail: any callable
 from an array of x >= 0 to an array of tail values.  The tails defined here
 are `TailModel` subclasses, which check their parameters when built: Markov,
 chaos concentration, and the plug-in tail of either ECDF (sorted samples or
-streamed counts at thresholds).  Every other tail is a function of its law's
-module, passed as it is: an exact tail such as `chaos.exact_abs_tail_q2_rank1`,
-the exponential-functional concentration bound `expfun.abs_tail_bound` (bound
-to its law by functools.partial), or `np.ones_like`, the constant 1.  An
-exact tail should compute P(|F| > x) directly: the form 1 - cdf(x) + cdf(-x)
+streamed counts at thresholds), read through its one count #{s <= t}.  Every
+other tail is a function of its law's module, passed as it is: an exact tail
+such as `chaos.exact_abs_tail_q2_rank1`, the exponential-functional
+concentration bound `expfun.abs_tail_bound` (bound to its law by
+functools.partial), or `np.ones_like`, the constant 1.  An exact tail should
+compute P(|F| > x) directly: the form 1 - cdf(x) + cdf(-x)
 cancels to an absolute error of about 1e-16, so it loses the tail's relative
 accuracy as the tail shrinks and reads 0 once the tail is below that.
 `tail_probability` validates x and clamps the values to [0, 1] (clamping only
@@ -108,11 +109,12 @@ class MajorChaosTail(TailModel):
 
 @dataclass(frozen=True)
 class EmpiricalTail(TailModel):
-    """Plug-in tail 1 - #{-x <= s <= x}/n of an ECDF.
+    """Plug-in tail 1 - #{-x <= s <= x}/n of an ECDF, where #{s < -x} is
+    #{s <= nextafter(-x, -inf)}.
 
     The ECDF is an `empirical.EmpiricalCdf`, or an `empirical.ThresholdCounts`
-    that holds every x and -x the tail is evaluated at; `from_samples` builds
-    the first from an unsorted sample set.
+    that holds every x and nextafter(-x, -inf) the tail is evaluated at;
+    `from_samples` builds the first from an unsorted sample set.
     """
 
     ecdf: empirical.EcdfCounts = field(repr=False)
@@ -122,7 +124,7 @@ class EmpiricalTail(TailModel):
         return cls(empirical.build_ecdf(samples))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        inside = self.ecdf.at_most(x) - self.ecdf.below(-x)
+        inside = self.ecdf.at_most(x) - self.ecdf.at_most(np.nextafter(-x, -np.inf))
         return 1.0 - inside / self.ecdf.n
 
 

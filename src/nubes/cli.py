@@ -47,9 +47,9 @@ goes through json.dumps (ASCII), uses the documented insertion order and
 omits file paths so output is byte-comparable across locations.
 
 Memory: chaos-compare and expfun-compare never hold the sample array.  Each
-chunk's job reduces its samples to integer counts at the z grid and at
-+-|z|/2, the only points where the ECDF and the empirical tail are read,
-and the run sums those counts; memory is O(chunk) whatever --samples is.
+chunk's job counts #{s <= t} at the z grid, |z|/2 and the float below -|z|/2,
+the only points where the ECDF and the empirical tail are read, and the run
+sums those counts; memory is O(chunk) whatever --samples is.
 
 Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 """
@@ -359,12 +359,11 @@ def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
     """Certify the samples of sample_batch(reduce=...) against bound(zs, counts)
     on the z grid and write the table with `summary`, whose `violations` slot
     is filled here.  Each chunk is passed through `transform` and reduced to
-    its counts at the z grid and at +-|z|/2 inside its own job."""
+    its counts at the z grid, at |z|/2 and at the float below -|z|/2 (where the
+    bound reads the tail) inside its own job."""
     zs = np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"])
-    half = np.abs(zs) / 2.0  # where the bound reads the tail
-    # np.unique's values, sorted and each once, without np.unique, which imports numpy.ma (10-17 ms)
-    thresholds = np.sort(np.concatenate([zs, half, -half]))
-    thresholds = thresholds[np.concatenate([[True], thresholds[1:] != thresholds[:-1]])]
+    half = np.abs(zs) / 2.0
+    thresholds = np.sort(np.concatenate([zs, half, np.nextafter(-half, -np.inf)]))
     reduce = functools.partial(empirical.count_chunk, thresholds=thresholds, transform=transform)
     counts = empirical.ThresholdCounts(thresholds, sample_batch(reduce=reduce), n=cfg["samples"])
     report = empirical.certify(empirical.discrepancy_curve(counts, zs), bound(zs, counts), k=cfg["slack-k"])

@@ -9,14 +9,15 @@ error is that of one sample on the other side, P_hat = 1/max(n, 2): about
 1/n, so a slack of k = 3 is the rule-of-three bound.  The DKW band gives the
 uniform alternative to the pointwise slack.
 
-An ECDF is read through two counts, #{s <= t} and #{s < t} (`EcdfCounts`):
-`evaluate` and the plug-in tail `bounds.EmpiricalTail` are written once over
-them.  `EmpiricalCdf` answers them from the sorted samples at any t.  A run
-that only needs P_hat(F <= z) and P_hat(|F| > |z|/2) at grid points need not
-keep its samples: `count_chunk` reduces each sampling chunk, inside its own
-job, to both counts at one sorted threshold array, and the summed counts make
-a `ThresholdCounts`, which answers them at its thresholds only.  Sums of
-counts are exact in any order, so the values equal those of the ECDF of all
+An ECDF is read through one count, at_most(t) = #{s <= t} (`EcdfCounts`);
+for finite samples #{s < t} = #{s <= nextafter(t, -inf)}, exactly.  `evaluate`
+and the plug-in tail `bounds.EmpiricalTail` are written once over it.
+`EmpiricalCdf` answers from the sorted samples at any t.  A run that only
+needs P_hat(F <= z) and P_hat(|F| > |z|/2) at grid points need not keep its
+samples: `count_chunk` reduces each sampling chunk, inside its own job, to
+the count at each threshold of one sorted array, and the summed counts make
+a `ThresholdCounts`, which answers at its thresholds only.  Sums of counts
+are exact in any order, so the values equal those of the ECDF of all
 samples, and memory is O(chunk) whatever the number of samples.
 
 Curves and certification reports are numpy record arrays with one record per
@@ -49,15 +50,12 @@ __all__ = [
 
 
 class EcdfCounts:
-    """An ECDF of n samples read through its counts at_most(t) = #{s <= t} and
-    below(t) = #{s < t}, both vectorized over t."""
+    """An ECDF of n samples read through its count at_most(t) = #{s <= t},
+    vectorized over t."""
 
     n: int
 
     def at_most(self, t) -> np.ndarray:
-        raise NotImplementedError
-
-    def below(self, t) -> np.ndarray:
         raise NotImplementedError
 
     def evaluate(self, z):
@@ -76,9 +74,6 @@ class EmpiricalCdf(EcdfCounts):
     def at_most(self, t) -> np.ndarray:
         return np.searchsorted(self.sorted_samples, t, side="right")
 
-    def below(self, t) -> np.ndarray:
-        return np.searchsorted(self.sorted_samples, t, side="left")
-
 
 def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
     arr = np.asarray(samples, dtype=float)
@@ -90,7 +85,7 @@ def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
 
 
 def count_chunk(samples: np.ndarray, thresholds: np.ndarray, transform: Callable | None = None) -> np.ndarray:
-    """Rows #{s <= t} and #{s < t} at each threshold t, for one chunk.
+    """#{s <= t} at each threshold t, for one chunk.
 
     `transform` (elementwise, e.g. a standardization) is applied first; the
     samples are then checked finite and sorted, in place when there is no
@@ -101,14 +96,14 @@ def count_chunk(samples: np.ndarray, thresholds: np.ndarray, transform: Callable
     if not np.all(np.isfinite(s)):
         raise ValueError("samples must be finite")
     s.sort()
-    return np.stack([np.searchsorted(s, thresholds, side="right"), np.searchsorted(s, thresholds, side="left")])
+    return np.searchsorted(s, thresholds, side="right")
 
 
 @dataclass(frozen=True)
 class ThresholdCounts(EcdfCounts):
     """Counts of n samples at sorted thresholds t_i, as `count_chunk` returns
-    them summed: counts[0, i] = #{s <= t_i} and counts[1, i] = #{s < t_i}.
-    They are known only at the thresholds."""
+    them summed: counts[i] = #{s <= t_i}.  They are known only at the
+    thresholds."""
 
     thresholds: np.ndarray
     counts: np.ndarray
@@ -123,10 +118,7 @@ class ThresholdCounts(EcdfCounts):
         return i
 
     def at_most(self, t) -> np.ndarray:
-        return self.counts[0, self._index(t)]
-
-    def below(self, t) -> np.ndarray:
-        return self.counts[1, self._index(t)]
+        return self.counts[self._index(t)]
 
 
 def discrepancy_curve(ecdf: EcdfCounts, grid: Sequence[float]) -> np.recarray:

@@ -35,6 +35,7 @@ evaluators are pure.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,6 +154,7 @@ def variance_sigma2(a: float, t: float) -> float:
     return 2.0 * _exp_divided_difference(a, t, (0.0, a + 0.5, 2.0 * a + 1.0, 2.0 * a + 2.0))
 
 
+@functools.lru_cache(maxsize=1)  # a run asks for one law's moments more than once
 def moments(params: ExpFunParams) -> ExpFunMoments:
     return ExpFunMoments(m_t=mean_mt(params.a, params.t), sigma2_t=variance_sigma2(params.a, params.t))
 

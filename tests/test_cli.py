@@ -330,6 +330,22 @@ def test_expfun_summary_moments_match_mpmath(a, t, tmp_path):
     assert abs(summary["sigma2_t"] / s2 - 1.0) <= 1e-14
 
 
+def test_expfun_compare_computes_the_moments_once(tmp_path, monkeypatch):
+    # the summary and the sampler's float-resolution check share one evaluation
+    calls, mean_mt = [], expfun.mean_mt
+
+    def counted(a, t):
+        calls.append((a, t))
+        return mean_mt(a, t)
+
+    monkeypatch.setattr(expfun, "mean_mt", counted)
+    expfun.moments.cache_clear()
+    args = ["expfun-compare", "--samples", "100", "--n-steps", "10", "--workers", "1",
+            "--output", tmp_path / "ef.csv"]
+    assert run_cli(args) == 0
+    assert calls == [(0.0, 0.1)]
+
+
 @pytest.mark.parametrize("t", [1e-46, 1e-50, 1e-60, 1e-100])
 def test_expfun_uniform_bound_at_tiny_t(t, tmp_path, capsys):
     # sqrt(4 t^7 e^{8t})/sigma_t^2 is near 6 sqrt(t); t^7 and sigma_t^4 underflow

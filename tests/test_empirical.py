@@ -242,9 +242,10 @@ class TestColumnarEqualsScalar:
 
 
 def _thresholds(grid):
-    # the points the CLI counts at: the grid and the tail arguments +-|z|/2
+    # the points the CLI counts at: the grid, the tail argument |z|/2 and the
+    # float below -|z|/2, where #{s <= t} is #{s < -|z|/2}
     half = np.abs(grid) / 2.0
-    return np.unique(np.concatenate([grid, half, -half]))
+    return np.unique(np.concatenate([grid, half, np.nextafter(-half, -np.inf)]))
 
 
 def _streamed(samples, thresholds, cuts):
@@ -257,8 +258,9 @@ def _streamed(samples, thresholds, cuts):
 def _streaming_cases(draw):
     grid = np.array(draw(st.lists(st.floats(-8.0, 8.0) | st.sampled_from([0.0, -0.0, 1.0, -2.5]),
                                   min_size=1, max_size=20)))
-    # samples tie with each other and sit exactly on thresholds, at +-0 too
-    on_points = st.sampled_from([0.0, -0.0, *_thresholds(grid).tolist()])
+    # samples tie with each other and sit exactly on thresholds, at +-0 too, and
+    # on -|z|/2, which is not a threshold but the float just above one
+    on_points = st.sampled_from([0.0, -0.0, *_thresholds(grid).tolist(), *(-np.abs(grid) / 2.0).tolist()])
     samples = np.array(draw(st.lists(st.floats(-5.0, 5.0) | on_points, min_size=1, max_size=60)))
     cuts = sorted(draw(st.lists(st.integers(0, samples.size), max_size=6)))
     return grid, samples, cuts
@@ -279,6 +281,18 @@ class TestStreamedCounts:
         for name in in_memory.dtype.names:
             assert np.array_equal(streamed[name], in_memory[name])
 
+    @settings(max_examples=300, deadline=None)
+    @given(_streaming_cases())
+    def test_tail_count_is_strict_count_of_abs(self, case):
+        # an integer oracle for both ECDF routes: the samples outside [-x, x],
+        # counted through #{s <= t} alone, are those with |s| > x
+        grid, samples, cuts = case
+        x = np.abs(grid) / 2.0
+        outside = [np.count_nonzero(np.abs(samples) > xi) for xi in x.tolist()]
+        for ecdf in (_streamed(samples, _thresholds(grid), cuts), build_ecdf(samples)):
+            inside = ecdf.at_most(x) - ecdf.at_most(np.nextafter(-x, -np.inf))
+            assert (samples.size - inside).tolist() == outside
+
     def test_scalar_evaluate(self):
         counts = _streamed(np.array([1.0, 2.0, 2.0]), np.array([1.0, 2.0]), [1])
         assert counts.evaluate(2.0) == 1.0 and counts.evaluate(1.0) == 1.0 / 3.0
@@ -291,12 +305,15 @@ class TestStreamedCounts:
                 counts.evaluate(z)
         with pytest.raises(ValueError, match="thresholds"):
             discrepancy_curve(counts, [1.0, 1.5])
-        with pytest.raises(ValueError, match="thresholds"):
-            bounds.tail_probability(EmpiricalTail(counts), 0.5)  # -0.5 is not a threshold
+        # the tail reads #{s <= x} and #{s <= nextafter(-x, -inf)}: neither 0.5 nor
+        # the float below -0.5 is a threshold, and -1 is one but the float below it is not
+        for x in (0.5, 1.0):
+            with pytest.raises(ValueError, match="thresholds"):
+                bounds.tail_probability(EmpiricalTail(counts), x)
 
     def test_count_chunk_transforms_first(self):
         sums = count_chunk(np.array([3.0, 5.0, 1.0]), np.array([0.0, 1.0]), transform=lambda s: (s - 3.0) / 2.0)
-        assert sums.tolist() == [[2, 3], [1, 2]]
+        assert sums.tolist() == [2, 3]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_count_chunk_rejects_non_finite(self, bad):

@@ -102,6 +102,8 @@ class MajorChaosTail(TailModel):
             raise ValueError(f"q must be an integer >= 2, got {self.q}")
         if not (self.c_q > 0.0 and math.isfinite(self.c_q)):
             raise ValueError(f"c_q must be > 0, got {self.c_q}")
+        if not math.isfinite(self.c_q * self.c_q):  # c_q**2 would raise OverflowError in __call__
+            raise ValueError(f"c_q={self.c_q} overflows float64 when squared")
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.c_q**2 * np.exp(-(x ** (2.0 / self.q)) / 2.0)

@@ -26,8 +26,10 @@ oracle throughout the test and certification suites.
 
 Batch sampling runs on independently seeded substreams per fixed-size chunk
 and reduces in chunk order, so results do not depend on worker scheduling;
-inside a chunk it runs `sampling.draw_rows` and sums each row's terms left to
-right, without BLAS, so a sample depends on its own normals alone.
+inside a chunk it draws one row of normals per sample from
+`sampling.draw_blocks` and sums each row's terms left to right, without BLAS,
+into the block's slice of the chunk, so a sample depends on its own normals
+alone.
 Everything else is pure.
 """
 
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gaussian import normal_cdf, normal_tail
-from .sampling import draw_rows, map_chunks, worker_count
+from .sampling import draw_blocks, map_chunks, worker_count
 
 __all__ = [
     "DiagonalChaosSpec",
@@ -119,15 +121,17 @@ def normalize(spec: DiagonalChaosSpec) -> DiagonalChaosSpec:
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, q: int, alphas: tuple) -> np.ndarray:
-    def row_values(w):
+    out = np.empty(count)
+    start = 0
+    for w in draw_blocks(rng, count, len(alphas)):  # a block of rows, one per sample
         # sum_i alpha_i H_q(N_i) column by column, left to right
         h = hermite(q, w)
-        v = h[:, 0] * alphas[0]
+        v = out[start : start + len(w)]
+        np.multiply(h[:, 0], alphas[0], out=v)
         for j in range(1, len(alphas)):
             v += h[:, j] * alphas[j]
-        return v
-
-    return draw_rows(rng, count, len(alphas), row_values)
+        start += len(w)
+    return out
 
 
 def sample_batch(spec: DiagonalChaosSpec, n: int, seed: int, workers: int | None = None, reduce=None) -> np.ndarray:

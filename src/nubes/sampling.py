@@ -10,12 +10,12 @@ many processes execute it.
 Inside a chunk both samplers draw from `draw_blocks`, the one draw loop: it
 draws block_rows(width) rows at a time, in order, from the chunk's one
 generator into one reused buffer of about BLOCK_NORMALS normals, which stays
-in a core's cache.  The chaos sampler draws one row per sample (through
-`draw_rows`) and computes each sample from its own row; the path sampler
-draws one row per time step, across all the chunk's paths, and carries each
-path's running sums from step to step.  Both compute in a fixed order and
-without BLAS, so the values do not depend on the block size, the BLAS build
-or its thread count.
+in a core's cache.  The chaos sampler draws one row per sample and computes
+each sample from its own row; the path sampler draws one row per time step,
+across all the chunk's paths, and carries each path's running sums from step
+to step.  Both compute in a fixed order and without BLAS, so the values do
+not depend on the block size, the BLAS build or its thread count.  Across
+chunks the one loop is `map_chunks`; every chunked draw runs on these two.
 
 A run may reduce each chunk inside its own job (`map_chunks(..., reduce=)`):
 the job then returns an integer array instead of the samples and the run
@@ -96,21 +96,6 @@ def draw_blocks(rng: np.random.Generator, count: int, width: int):
         w = block[: min(rows, count - start)]
         rng.standard_normal(w.shape, out=w)
         yield w
-
-
-def draw_rows(rng: np.random.Generator, count: int, width: int, row_values) -> np.ndarray:
-    """row_values(w) over `count` rows of `width` normals drawn from `rng`.
-
-    `row_values` gets each block of `draw_blocks`, which it may overwrite,
-    and returns one value per row of it, each from that row alone, so the
-    result equals row_values of the (count, width) array drawn whole.
-    """
-    out = np.empty(count)
-    start = 0
-    for w in draw_blocks(rng, count, width):
-        out[start : start + len(w)] = row_values(w)
-        start += len(w)
-    return out
 
 
 def layout(total: int, chunk_size: int) -> dict:

@@ -1,8 +1,9 @@
 """Session-scoped Monte Carlo sample sets shared across test modules.
 
-The heavy draws (10^6 paths/realizations) are produced once per session on
-the library's reproducible substream layout so the invariant tests and the
-acceptance suite reuse the same arrays.
+The heavy draws (10^6 paths/realizations, and the 200,000 refined path
+pairs) are produced once per session, every one on the library's own
+reproducible chunk layout and worker pool (`sampling.map_chunks`), so the
+invariant tests and the acceptance suite reuse the same arrays.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from nubes import chaos, expfun
-from nubes.sampling import substream
+from nubes.sampling import map_chunks
 
 WORKERS = 2  # sampling output is worker-count invariant; 2 matches the CI box
 
@@ -53,20 +54,15 @@ def expfun_refinement():
     pairwise sums of the fine ones), so their difference isolates the
     discretization effect instead of being swamped by independent MC noise.
     """
-    a, t = 0.0, 0.1
-    n_fine, n_paths, chunk = 4000, 200_000, 4000
-    step_fine = t / n_fine
-    f_fine = np.empty(n_paths)
-    f_coarse = np.empty(n_paths)
-    done = 0
-    index = 0
-    while done < n_paths:
-        count = min(chunk, n_paths - done)
-        rng = substream(REFINE_SEED, index)
-        w = rng.standard_normal((count, n_fine)) * math.sqrt(step_fine)
-        f_fine[done : done + count] = expfun.integral_from_increments(a, t, w)
-        w_coarse = w[:, 0::2] + w[:, 1::2]
-        f_coarse[done : done + count] = expfun.integral_from_increments(a, t, w_coarse)
-        done += count
-        index += 1
-    return {"a": a, "t": t, "fine": f_fine, "coarse": f_coarse}
+    a, t, n_fine = 0.0, 0.1, 4000
+
+    def fine_and_coarse(rng, count):
+        w = rng.standard_normal((count, n_fine)) * math.sqrt(t / n_fine)
+        out = np.empty(count, dtype=[("fine", float), ("coarse", float)])
+        out["fine"] = expfun.integral_from_increments(a, t, w)
+        out["coarse"] = expfun.integral_from_increments(a, t, w[:, 0::2] + w[:, 1::2])
+        return out
+
+    f = map_chunks(fine_and_coarse, (), REFINE_SEED, 200_000, 4_000, workers=WORKERS)
+    # contiguous copies: a strided field view could sum in another order in .mean() and .var()
+    return {"a": a, "t": t, "fine": f["fine"].copy(), "coarse": f["coarse"].copy()}

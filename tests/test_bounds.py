@@ -107,6 +107,14 @@ class TestTailModels:
         with pytest.raises(ValueError):
             MajorChaosTail(q=2, c_q=0.0)
 
+    def test_major_chaos_c_q_squared_must_be_finite(self):
+        # c_q**2 in __call__ is a Python float power, which raises OverflowError past sqrt(float max)
+        largest = math.sqrt(np.finfo(float).max)
+        assert MajorChaosTail(q=2, c_q=largest)(np.array([0.0])).tolist() == [largest * largest]
+        for c_q in (float(np.nextafter(largest, math.inf)), 1e200):
+            with pytest.raises(ValueError, match=re.escape(f"c_q={c_q} overflows")):
+                MajorChaosTail(q=2, c_q=c_q)
+
 
 class TestBoundInputs:
     def test_validation(self):

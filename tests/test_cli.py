@@ -296,10 +296,14 @@ class TestBoundOnlyScenario:
          "the bound overflows float64 at z = 0.0, where |E F| + d = 7e+307"),
         (["bound-only", "--discrepancy", "1e308", "--mean-abs", "1e308", "--format", "json"],
          "the bound overflows float64 at z = -8.0, where |E F| + d = inf"),
+        (["bound-only", "--discrepancy", "1", "--tail", "major", "--q", "2", "--c-q", "1e200"],
+         "c_q=1e+200 overflows"),
+        (["chaos-compare", "--tail", "major", "--c-q", "1e200", "--samples", "10"], "c_q=1e+200 overflows"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
          "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow",
-         "expfun-below-float-resolution", "bound-overflow", "uniform-bound-overflow"],
+         "expfun-below-float-resolution", "bound-overflow", "uniform-bound-overflow",
+         "bound-only-c-q-overflow", "chaos-compare-c-q-overflow"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line
@@ -509,8 +513,9 @@ def test_rejection_names_the_flag(args, file_cfg, name, tmp_path, capsys):
         (["--tail", "markov"], "markov-moment"),
         (["--tail", "major"], "c-q"),
         (["--alphas", "1,1"], "rank-one"),
+        (["--tail", "major", "--c-q", "1e200"], "c_q=1e+200 overflows"),
     ],
-    ids=["markov-moment", "c-q", "exact-rank-one"],
+    ids=["markov-moment", "c-q", "exact-rank-one", "c-q-overflow"],
 )
 def test_tail_requirements_checked_before_sampling(args, name, tmp_path, capsys, monkeypatch):
     def no_sampling(*args, **kwargs):

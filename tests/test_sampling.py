@@ -402,17 +402,13 @@ class TestLayout:
         assert block_rows(BLOCK_NORMALS) == 1
         assert block_rows(BLOCK_NORMALS + 1) == 1
 
-    def test_draw_rows_in_blocks(self, monkeypatch):
+    def test_draw_blocks_in_one_buffer(self, monkeypatch):
         monkeypatch.setattr(sampling, "BLOCK_NORMALS", 10)
-        shapes = []
-
-        def row_values(w):
-            shapes.append(w.shape)
-            return w.sum(axis=1)
-
-        got = sampling.draw_rows(substream(3, 0), 7, 3, row_values)
-        assert shapes == [(3, 3), (3, 3), (1, 3)]
-        assert np.array_equal(got, substream(3, 0).standard_normal((7, 3)).sum(axis=1))
+        blocks = [w.copy() for w in sampling.draw_blocks(substream(3, 0), 7, 3)]
+        assert [w.shape for w in blocks] == [(3, 3), (3, 3), (1, 3)]
+        views = list(sampling.draw_blocks(substream(3, 0), 7, 3))
+        assert all(np.shares_memory(w, views[0]) for w in views)  # one reused buffer
+        assert np.array_equal(np.concatenate(blocks), substream(3, 0).standard_normal((7, 3)))
 
     def test_layout_follows_configuration(self):
         assert layout(10, 4) == {"bit_generator": "SFC64", "chunk_size": 4, "chunks": 3}

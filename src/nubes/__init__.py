@@ -4,7 +4,9 @@ Submodules
 ----------
 gaussian   Stable normal CDF/tail kernels and the Stein equation solution.
 chaos      Finite-rank diagonal Wiener chaos: sampling, moments, exact q=2 CDF.
-expfun     Brownian exponential functional: moments, sampling, rate bound.
+expfun     Brownian exponential functional: moments, sampling, concentration
+           tails; its rate bound is the engine's bound with the upper tail U
+           plus d sqrt(L(|z|/2)) for the lower tail L.
 bounds     The non-uniform bound engine with pluggable tail models; the chaos
            bound is the engine with the chaos concentration tail, and one
            plug-in tail reads either kind of ECDF.

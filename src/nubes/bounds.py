@@ -24,6 +24,11 @@ tightens the bound since the modeled quantity is a probability).
 |E F| + d is `uniform_bound`, and returns the columnar `BoundCurve`; it
 raises ValueError where a bound overflows float64.
 
+The exponential functional's rate bound `expfun.clt_rate_bound` is this
+engine with |E F| = 0, d = sqrt(`expfun.discrepancy_sq_upper`) and the upper
+concentration tail U, plus the term d sqrt(L(|z|/2)) of the lower one L: the
+engine's sqrt(U + L) loosened to sqrt(U) + sqrt(L).
+
 The chaos bound for a variance-one multiple Wiener-Ito integral of order
 q >= 2 is this engine with d = `chaos.stein_discrepancy_upper` and the tail
 `MajorChaosTail`; where the clamp is inactive it equals the displayed form

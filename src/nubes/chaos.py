@@ -188,12 +188,8 @@ def exact_cdf_q2_rank1(z):
 
 
 def exact_abs_tail_q2_rank1(x):
-    """Exact P(|F| > x) for F = (N^2 - 1)/sqrt(2), x >= 0."""
+    """Exact P(|F| > x) = P(F > x) + cdf(-x) for F = (N^2 - 1)/sqrt(2), x >= 0."""
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0) or not np.all(np.isfinite(xa)):
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
-    out = np.asarray(2.0 * normal_tail(np.sqrt(1.0 + math.sqrt(2.0) * xa)))  # P(F > x)
-    low_arg = 1.0 - math.sqrt(2.0) * xa
-    inside = low_arg > 0.0  # P(F < -x) > 0 only for x < 1/sqrt(2)
-    out[inside] += 2.0 * normal_cdf(np.sqrt(low_arg[inside])) - 1.0
-    return float(out) if xa.ndim == 0 else out
+    return 2.0 * normal_tail(np.sqrt(1.0 + math.sqrt(2.0) * xa)) + exact_cdf_q2_rank1(-xa)

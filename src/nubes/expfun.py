@@ -13,11 +13,12 @@ sigma_t^2 integrates the positive covariance kernel e^{(a+1/2)(s+u)}
 evaluates both, also at the coincident nodes of a = -1/2, -1 and -3/2.
 
 Standardized, F~_t = (F_t - m_t)/sigma_t satisfies one-sided concentration
-bounds and an explicit non-uniform normal-approximation rate whose prefactor
-is the square root of a second-moment bound on the Stein discrepancy; both
-are evaluated here.  The sum of the two concentration bounds,
-`abs_tail_bound`, bounds P(|F~_t| > x); it is the tail `bounds.evaluate_curve`
-takes for this law, with params and m bound by functools.partial.  Moments
+bounds U (upper) and L (lower), evaluated here.  Their sum, `abs_tail_bound`,
+bounds P(|F~_t| > x); it is the tail `bounds.evaluate_curve` takes for this
+law, with params and m bound by functools.partial.  The explicit
+non-uniform normal-approximation rate `clt_rate_bound` is the engine's
+bound with U as its tail plus d sqrt(L(|z|/2)), where d, the square root of
+a second-moment bound on the Stein discrepancy, is evaluated here.  Moments
 and bounds whose exponentials overflow, or whose moments underflow the normal
 float range, raise ValueError naming a and t, and so does sampling at a t
 below about 1e-19, where float64 cannot resolve F_t around its mean
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .sampling import draw_blocks, map_chunks, worker_count
 
 __all__ = [
@@ -297,18 +299,12 @@ def discrepancy_sq_upper(params: ExpFunParams, m: ExpFunMoments) -> float:
 def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
     """Explicit non-uniform bound on |P(F~_t <= z) - Phi(z)|.
 
-    prefactor * (exp(-ln^2(1 + |z| sigma_t/(2 m_t))/(4t)) + e^{-z^2/16} + 2 e^{-z^2/4})
-    with prefactor = 2 sqrt(t) (t^3/sigma_t^2) e^{2at+4t}, the square root of
-    discrepancy_sq_upper.
+    The engine's bound with the upper concentration bound U as its tail, plus
+    d sqrt(L(|z|/2)) for the lower one L: sqrt(U + L) loosened to sqrt(U) + sqrt(L),
+    with d = sqrt(discrepancy_sq_upper).  z must be nonempty and finite.
     """
-    t = params.t
-    za = np.abs(np.asarray(z, dtype=float))
-    prefactor = math.sqrt(discrepancy_sq_upper(params, m))
-    with np.errstate(over="ignore"):  # z^2 = inf past |z| ~ 1.3e154, where its terms are 0
-        terms = (
-            np.exp(-np.log1p(za * m.sigma_t / (2.0 * m.m_t)) ** 2 / (4.0 * t))
-            + np.exp(-(za**2) / 16.0)
-            + 2.0 * np.exp(-(za**2) / 4.0)
-        )
-    out = prefactor * terms
-    return float(out) if np.ndim(z) == 0 else out
+    d = math.sqrt(discrepancy_sq_upper(params, m))
+    upper = functools.partial(upper_tail_bound, params=params, m=m)
+    curve = bounds.evaluate_curve(bounds.BoundInputs(0.0, d, upper), z)
+    out = curve.bounds + d * np.sqrt(lower_tail_bound(np.abs(curve.z) / 2.0))
+    return float(out[0]) if np.ndim(z) == 0 else out

@@ -119,8 +119,13 @@ def worker_count(workers: int | None = None) -> int:
 
     The samplers hand `map_chunks` this resolved count, so its `workers`
     argument is always a number to code that wraps it (perfbench's tracer).
+    A count below 1 raises ValueError.
     """
-    return _usable_cpus() if workers is None else workers
+    if workers is None:
+        return _usable_cpus()
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    return workers
 
 
 def _run_chunk(job):
@@ -178,10 +183,18 @@ def _run_forked(jobs: list, processes: int) -> list:
     held = {}  # result fd -> index of the chunk its worker runs, None once no chunk is left
     try:
         for index in range(processes):  # processes <= len(jobs): every worker starts with a chunk
-            tasks_r, tasks_w = os.pipe()
-            os.write(tasks_w, _INDEX.pack(index))
-            out_r, out_w = os.pipe()
-            pid = os.fork()
+            opened = []  # this worker's pipes, closed here if a pipe or the fork fails
+            try:
+                tasks_r, tasks_w = os.pipe()
+                opened += (tasks_r, tasks_w)
+                os.write(tasks_w, _INDEX.pack(index))
+                out_r, out_w = os.pipe()
+                opened += (out_r, out_w)
+                pid = os.fork()
+            except BaseException:
+                for fd in opened:
+                    os.close(fd)
+                raise
             if pid == 0:
                 status = 1
                 try:

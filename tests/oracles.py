@@ -113,6 +113,23 @@ def expfun_moments_mp(a: float, t: float) -> tuple[float, float]:
         return float(m), float(2 / (a_mp + 1.5) * (iexp(2 * a_mp + 2) - iexp(a_mp + 0.5)) - m * m)
 
 
+def expfun_rate_bound_closed_form(t: float, m_t: float, sigma_t: float, d: float, z):
+    """The exponential functional's rate bound written out in one expression,
+
+        d (e^{-ln^2(1 + |z| sigma_t/(2 m_t))/(4t)} + e^{-z^2/16} + 2 e^{-z^2/4}),
+
+    the square roots of the two concentration bounds at |z|/2 plus the
+    Gaussian term, without the bound engine."""
+    za = np.abs(np.asarray(z, dtype=float))
+    with np.errstate(over="ignore"):  # z^2 = inf past |z| ~ 1.3e154, where its terms are 0
+        terms = (
+            np.exp(-np.log1p(za * sigma_t / (2.0 * m_t)) ** 2 / (4.0 * t))
+            + np.exp(-(za**2) / 16.0)
+            + 2.0 * np.exp(-(za**2) / 4.0)
+        )
+    return d * terms
+
+
 def _erfcx_mpf(u):
     """e^{u^2} erfc(u) as an mpf.  Past u = 1e4 (where mpmath's erfc cannot
     take the argument) the asymptotic series 1/(u sqrt(pi)) *

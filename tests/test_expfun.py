@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import expfun, sampling
-from nubes.bounds import tail_probability
+from nubes.bounds import BoundInputs, evaluate_curve, tail_probability
 from nubes.expfun import ExpFunMoments, ExpFunParams
-from oracles import expfun_mean_quad, expfun_moments_mp, expfun_variance_quad
+from oracles import expfun_mean_quad, expfun_moments_mp, expfun_rate_bound_closed_form, expfun_variance_quad
 
 # high-precision reference values (mpmath, 40 digits)
 M_0_1 = 1.2974425414002563  # 2 (sqrt(e) - 1)
@@ -391,6 +391,30 @@ class TestRateBound:
         m = expfun.moments(params)
         zs = np.array([0.3, 1.0, 2.4, 4.9])
         assert np.array_equal(expfun.clt_rate_bound(params, m, zs), expfun.clt_rate_bound(params, m, -zs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.5, 1.0), st.floats(1e-6, 1.0), st.lists(st.floats(-50.0, 50.0), max_size=20))
+    def test_engine_bound_plus_the_loosening(self, a, t, zs):
+        # the closed form within 4 ulps, and the engine's bound with the two-sided
+        # concentration tail U + L never above it: sqrt(U + L) <= sqrt(U) + sqrt(L)
+        params = ExpFunParams(a=a, t=t)
+        m = expfun.moments(params)
+        d = math.sqrt(expfun.discrepancy_sq_upper(params, m))
+        z = np.array([*zs, 0.0, 1e300, -1e300])
+        got = expfun.clt_rate_bound(params, m, z)
+        want = expfun_rate_bound_closed_form(t, m.m_t, m.sigma_t, d, z)
+        assert np.all(np.abs(got - want) <= 4.0 * np.spacing(np.maximum(got, want))), (a, t)
+        tail = functools.partial(expfun.abs_tail_bound, params=params, m=m)
+        engine = evaluate_curve(BoundInputs(0.0, d, tail), z).bounds
+        assert np.all(engine <= got + np.spacing(got)), (a, t)
+        assert expfun.clt_rate_bound(params, m, z[0]) == got[0]
+
+    def test_rejects_non_finite_or_empty_z(self):
+        params = ExpFunParams(a=0.0, t=0.05)
+        m = expfun.moments(params)
+        for z in (math.inf, -math.inf, math.nan, [0.0, math.nan], []):
+            with pytest.raises(ValueError, match="nonempty and finite"):
+                expfun.clt_rate_bound(params, m, z)
 
     def test_small_t_exponent_limit(self):
         t = 1e-3

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import functools
 import gc
 import hashlib
@@ -150,6 +151,10 @@ def no_fork():
     raise AssertionError("a process was forked")
 
 
+def _no_chunk(rng, count):
+    raise AssertionError("a chunk ran")
+
+
 @pytest.fixture
 def pools(monkeypatch):
     """Pools record their size and start no process; set `.cpus` for the usable CPU count."""
@@ -219,6 +224,14 @@ class TestMapChunks:
         monkeypatch.setattr(sampling, "_usable_cpus", lambda: 7)
         assert sampling.worker_count() == sampling.worker_count(None) == 7
         assert sampling.worker_count(1) == 1 and sampling.worker_count(3) == 3
+        rank1 = chaos.normalize(chaos.DiagonalChaosSpec(q=2, alphas=(1.0,)))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+                sampling.worker_count(workers)
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                map_chunks(_no_chunk, (), seed=5, total=10, chunk_size=4, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            chaos.sample_batch(rank1, 10, seed=3, workers=0)
 
     def test_usable_cpus(self):
         assert 1 <= sampling._usable_cpus() <= (os.cpu_count() or 1)
@@ -386,6 +399,21 @@ class TestForkedPool:
             with pytest.raises(ChildProcessError, match=r"the worker sampling chunk \d+ was killed by SIGKILL"):
                 map_chunks(_killed_after_its_result, args, seed=1, total=10 * 64, chunk_size=64, workers=2)
             no_child_left()
+
+    def test_failed_fork_closes_its_pipes(self, monkeypatch):
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)  # two workers, also on one CPU
+        fork, calls = os.fork, []
+
+        def second_fork_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        with pytest.raises(BlockingIOError):
+            map_chunks(_draw, (1.0,), seed=1, total=10, chunk_size=1, workers=2)
+        no_child_left()
 
     def test_interrupted_parent_reaps_its_workers(self):
         start = time.monotonic()

@@ -38,7 +38,7 @@ print(f"sup |ECDF - exact CDF| on the grid: {sup:.4f}  (DKW 99% band: "
 inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=chaos.exact_abs_tail_q2_rank1)
 grid = np.linspace(-8.0, 8.0, 161)
 curve = bounds.evaluate_curve(inputs, grid)
-uniform = bounds.uniform_bound(inputs)
+uniform = curve.uniform_bound[0]
 below = np.abs(grid)[curve.bounds < uniform]
 print(f"\nuniform baseline: {uniform:.4f}")
 print(f"non-uniform bound drops below it for |z| >= {below.min():.2f} (crossover z*)")

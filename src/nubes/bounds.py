@@ -20,9 +20,9 @@ cancels to an absolute error of about 1e-16, so it loses the tail's relative
 accuracy as the tail shrinks and reads 0 once the tail is below that.
 `tail_probability` validates x and clamps the values to [0, 1] (clamping only
 tightens the bound since the modeled quantity is a probability).
-`evaluate_curve` is one array expression over the whole grid, whose factor
-|E F| + d is `uniform_bound`, and returns the columnar `BoundCurve`; it
-raises ValueError where a bound overflows float64.
+`evaluate_curve` is one array expression over the whole grid, returned as a
+numpy record array with one record per grid point; it raises ValueError
+where a bound overflows float64.
 
 The exponential functional's rate bound `expfun.clt_rate_bound` is this
 engine with |E F| = 0, d = sqrt(`expfun.discrepancy_sq_upper`) and the upper
@@ -60,9 +60,7 @@ __all__ = [
     "MajorChaosTail",
     "EmpiricalTail",
     "BoundInputs",
-    "BoundCurve",
     "tail_probability",
-    "uniform_bound",
     "evaluate_curve",
 ]
 
@@ -166,33 +164,21 @@ class BoundInputs:
             raise ValueError(f"tail must be callable, got {type(self.tail)!r}")
 
 
-@dataclass(frozen=True)
-class BoundCurve:
-    """The bound and its two terms as columns over the grid, in grid order."""
-
-    z: np.ndarray
-    tail_term: np.ndarray  # P(|F| > |z|/2), before the square root
-    gaussian_term: np.ndarray  # 2 e^{-z^2/4}
-    bounds: np.ndarray
-
-
-def uniform_bound(inputs: BoundInputs) -> float:
-    """The z-independent baseline |E F| + d, the factor the non-uniform bound refines."""
-    return inputs.mean_abs + inputs.stein_discrepancy
-
-
-def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> BoundCurve:
-    """The bound at every grid point, with its tail and Gaussian terms."""
+def evaluate_curve(inputs: BoundInputs, grid: Sequence[float]) -> np.recarray:
+    """The bound at every grid point, one record per point: z, tail_term (P(|F| > |z|/2),
+    before the square root), gaussian_term (2 e^{-z^2/4}), bounds, and uniform_bound,
+    the constant |E F| + d that the non-uniform bound refines."""
     z = np.atleast_1d(np.asarray(grid, dtype=float))
     if z.size == 0 or not np.all(np.isfinite(z)):
         raise ValueError("grid must be nonempty and finite")
     tail = tail_probability(inputs.tail, np.abs(z) / 2.0)
     with np.errstate(over="ignore"):  # z * z = inf past |z| ~ 1.3e154, where the term is 0
         gauss = 2.0 * np.exp(-z * z / 4.0)
-    uniform = uniform_bound(inputs)
+    uniform = inputs.mean_abs + inputs.stein_discrepancy
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite |E F| + d times a zero term is nan
         bounds = uniform * (np.sqrt(tail) + gauss)
     finite = np.isfinite(bounds)
     if not finite.all():
         raise ValueError(f"the bound overflows float64 at z = {float(z[~finite][0])!r}, where |E F| + d = {uniform!r}")
-    return BoundCurve(z=z, tail_term=tail, gaussian_term=gauss, bounds=bounds)
+    return np.rec.fromarrays([z, tail, gauss, bounds, np.full_like(z, uniform)],
+                             names="z,tail_term,gaussian_term,bounds,uniform_bound")

@@ -36,15 +36,16 @@ this process.  A worker that dies (a signal, the OOM killer) is an error
 that names its chunk.  The JSON summary of chaos-compare and expfun-compare
 names the bit generator, chunk size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
-are the columns.  Floats are written as Python repr writes them (shortest
-round-trip, up to 17 significant digits, '.' decimal separator), booleans as
-1/0 in CSV and true/false in JSON, strings as they are.  Both formats are
-written as bytes through one binary stream, the output file or stdout's
-buffer, so they have LF line endings on every platform.  CSV has a header
-row and comma separators; it is written in blocks of rows, each formatted in
-numpy (`_floattext`, byte-equal to repr) and written as it is made.  JSON
-goes through json.dumps (ASCII), uses the documented insertion order and
-omits file paths so output is byte-comparable across locations.
+are the columns; bound-only's is that of `bounds.evaluate_curve`, its field
+`bounds` renamed to `bound`.  Floats are written as Python repr writes them
+(shortest round-trip, up to 17 significant digits, '.' decimal separator),
+booleans as 1/0 in CSV and true/false in JSON, strings as they are.  Both
+formats are written as bytes through one binary stream, the output file or
+stdout's buffer, so they have LF line endings on every platform.  CSV has a
+header row and comma separators; it is written in blocks of rows, each
+formatted in numpy (`_floattext`, byte-equal to repr) and written as it is
+made.  JSON goes through json.dumps (ASCII), uses the documented insertion
+order and omits file paths so output is byte-comparable across locations.
 
 Memory: chaos-compare and expfun-compare never hold the sample array.  Each
 chunk's job counts #{s <= t} at the z grid, |z|/2 and the float below -|z|/2,
@@ -171,16 +172,16 @@ def _coerce(key: str, value, conv):
     if key == "alphas" and isinstance(value, list):
         if not all(type(v) in (int, float) for v in value):  # bool is not one of them
             raise UsageError(f"config key 'alphas': expected a list of numbers, got {json.dumps(value)}")
-        return ",".join(repr(float(v)) for v in value)
+        return ",".join(repr(_coerce(key, v, float)) for v in value)
     if conv is str and not isinstance(value, str):
         raise UsageError(f"config key '{key}': expected a string, got {json.dumps(value)}")
     if conv is not str and isinstance(value, bool):
         raise UsageError(f"config key '{key}': expected a number, got {json.dumps(value)}")
     if conv is int and isinstance(value, float) and not value.is_integer():
         raise UsageError(f"config key '{key}': expected an integer, got {json.dumps(value)}")
-    try:
+    try:  # float() raises OverflowError on an integer beyond the float range
         return conv(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"config key '{key}': cannot interpret {value!r}: {exc}") from exc
 
 
@@ -411,11 +412,9 @@ def _run_expfun_compare(cfg: dict) -> int:
 def _run_bound_only(cfg: dict) -> int:
     tail = _tail_model(cfg)
     inputs = bounds.BoundInputs(mean_abs=cfg["mean-abs"], stein_discrepancy=cfg["discrepancy"], tail=tail)
-    curve = bounds.evaluate_curve(inputs, np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"]))
-    uniform = bounds.uniform_bound(inputs)
-    columns = [curve.z, curve.tail_term, curve.gaussian_term, curve.bounds, np.full(curve.z.size, uniform)]
-    rows = np.rec.fromarrays(columns, names="z,tail_term,gaussian_term,bound,uniform_bound")
-    _write(cfg, {"uniform_bound": uniform}, rows)
+    rows = bounds.evaluate_curve(inputs, np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"]))
+    rows.dtype.names = ("z", "tail_term", "gaussian_term", "bound", "uniform_bound")  # in place: no copy
+    _write(cfg, {"uniform_bound": float(rows.uniform_bound[0])}, rows)
     return 0
 
 
@@ -443,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"nubes: error: {exc}", file=sys.stderr)
         return 1
     # only run raises these (parse_config raises UsageError); a dead pool worker is a ChildProcessError
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"nubes: error in scenario {cfg['scenario']}: {exc}", file=sys.stderr)
         return 1
 

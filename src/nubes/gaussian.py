@@ -41,7 +41,6 @@ need no synchronization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -59,7 +58,6 @@ _EPS, _MAX = np.finfo(float).eps, np.finfo(float).max
 
 __all__ = [
     "SQRT_2PI",
-    "LemmaReport",
     "normal_cdf",
     "normal_tail",
     "scaled_tail",
@@ -338,35 +336,22 @@ def stein_ode_residual_fd(z, x):
     return _shaped(fd - stein_derivative(zv, xv), shape)
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    """Grid verification of the envelope estimates for f_z and f'_z.
+# Inequalities are analytic facts; the tolerance only absorbs rounding.
+LEMMA_SLACK = 1e-12
+
+
+def check_lemma(z, grid: Sequence[float]) -> np.recarray:
+    """Check the f_z / f'_z envelope estimates at every grid point, for every z.
+
+    z may have any shape; every z must be > 0 (the estimates are stated for
+    positive z; negative z is handled upstream by reflection of the bound, not
+    here).  The checks reduce over the grid, which is flattened.  Returns one
+    record per z, in the shape of z (an `np.record` for a scalar z): z and
 
     global_bound_ok:        0 < f_z <= sqrt(2*pi)/4 and |f'_z| <= 1 on the grid
     center_value_ok:        f_z <= (sqrt(2*pi)/2) e^{-z^2/4} on |x| <= z/2
     center_derivative_ok:   |f'_z| <= 2 e^{-z^2/4}          on |x| <= z/2
     worst_margin:           minimum slack (bound minus value) over all checks
-
-    Every field has the shape of z (Python scalars for a scalar z).
-    """
-
-    z: float | np.ndarray
-    global_bound_ok: bool | np.ndarray
-    center_value_ok: bool | np.ndarray
-    center_derivative_ok: bool | np.ndarray
-    worst_margin: float | np.ndarray
-
-
-# Inequalities are analytic facts; the tolerance only absorbs rounding.
-LEMMA_SLACK = 1e-12
-
-
-def check_lemma(z, grid: Sequence[float]) -> LemmaReport:
-    """Check the f_z / f'_z envelope estimates at every grid point, for every z.
-
-    z may have any shape; every z must be > 0 (the estimates are stated for
-    positive z; negative z is handled upstream by reflection of the bound, not
-    here).  The checks reduce over the grid, which is flattened.
     """
     za = _require_finite("z", z)
     if np.any(za <= 0.0):
@@ -387,4 +372,6 @@ def check_lemma(z, grid: Sequence[float]) -> LemmaReport:
     deriv_margin = np.where(center, 2.0 * envelope - np.abs(fp), np.inf)
     worst = np.stack([global_margin, value_margin, deriv_margin]).min(axis=-1)  # (3, *z.shape)
     ok = worst >= -LEMMA_SLACK
-    return LemmaReport(*(_shaped(a, za.shape) for a in (za, *ok, worst.min(axis=0))))
+    rep = np.rec.fromarrays([za, *ok, worst.min(axis=0)],
+                            names="z,global_bound_ok,center_value_ok,center_derivative_ok,worst_margin")
+    return rep[()] if rep.ndim == 0 else rep

@@ -39,7 +39,6 @@ not exec).
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
 import select
@@ -72,9 +71,11 @@ def chunk_counts(total: int, chunk_size: int) -> list[int]:
         raise ValueError(f"the number of samples must be >= 1, got total={total}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    n_chunks = math.ceil(total / chunk_size)
-    counts = [chunk_size] * n_chunks
-    counts[-1] = total - chunk_size * (n_chunks - 1)
+    try:  # a list too long to index or to allocate
+        counts = [chunk_size] * -(-total // chunk_size)
+    except (OverflowError, MemoryError) as exc:
+        raise ValueError(f"total={total} is too many items to lay out in chunks of {chunk_size}") from exc
+    counts[-1] = total - chunk_size * (len(counts) - 1)
     return counts
 
 

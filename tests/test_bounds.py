@@ -250,25 +250,39 @@ class TestChaosBound:
                 assert abs(a - b) <= 1e-12 * a
 
 
+def uniform_of(inputs: BoundInputs) -> float:
+    """The curve's uniform_bound field, |E F| + d, at one z."""
+    return float(bounds.evaluate_curve(inputs, [0.0]).uniform_bound[0])
+
+
 class TestUniformBound:
     def test_identity(self):
         # zero mean: the baseline is the discrepancy itself
-        assert bounds.uniform_bound(BoundInputs(0.0, SQRT2, UNIT)) == SQRT2
-        assert bounds.uniform_bound(BoundInputs(0.0, 0.0, UNIT)) == 0.0
+        assert uniform_of(BoundInputs(0.0, SQRT2, UNIT)) == SQRT2
+        assert uniform_of(BoundInputs(0.0, 0.0, UNIT)) == 0.0
 
     def test_adds_mean_abs(self):
         # the baseline is the factor |E F| + d of every bound value
         inputs = BoundInputs(0.7, SQRT2, UNIT)
-        assert bounds.uniform_bound(inputs) == 0.7 + SQRT2
-        assert bound_at(inputs, 0.0) == bounds.uniform_bound(inputs) * 3.0
+        assert uniform_of(inputs) == 0.7 + SQRT2
+        assert bound_at(inputs, 0.0) == uniform_of(inputs) * 3.0
 
     def test_equals_chaos_first_factor(self):
         d = chaos.stein_discrepancy_upper(15.0, 2)
         inputs = BoundInputs(0.0, d, MajorChaosTail(q=2, c_q=1.0))
-        assert bounds.uniform_bound(inputs) == d
+        assert uniform_of(inputs) == d
+
+    def test_constant_over_the_grid(self):
+        curve = bounds.evaluate_curve(BoundInputs(0.25, SQRT2, EXACT), np.linspace(-8, 8, 33))
+        assert np.all(curve.uniform_bound == 0.25 + SQRT2)
 
 
 class TestEvaluateCurve:
+    def test_one_record_per_grid_point(self):
+        curve = bounds.evaluate_curve(BoundInputs(0.0, SQRT2, EXACT), np.linspace(-8, 8, 17))
+        assert isinstance(curve, np.recarray) and curve.shape == (17,)
+        assert curve.dtype.names == ("z", "tail_term", "gaussian_term", "bounds", "uniform_bound")
+
     def test_singleton(self):
         inputs = BoundInputs(0.0, SQRT2, UNIT)
         curve = bounds.evaluate_curve(inputs, [0.0])

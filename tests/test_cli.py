@@ -99,9 +99,12 @@ class TestParseConfig:
         ({"alphas": [True, 2]}, "alphas"),
         ({"alphas": ["1", "x"]}, "alphas"),
         ({"z-min": "abc"}, "z-min"),
+        ({"z-min": 10**400}, "z-min"),
+        ({"alphas": [10**400]}, "alphas"),
     ],
     ids=["bool-for-int", "bool-for-float", "fraction-for-int-seed", "fraction-for-int-samples",
-         "null-for-string", "number-for-string", "bool-in-alphas", "string-in-alphas", "string-for-float"],
+         "null-for-string", "number-for-string", "bool-in-alphas", "string-in-alphas", "string-for-float",
+         "int-beyond-float", "int-beyond-float-in-alphas"],
 )
 def test_config_value_of_wrong_kind_rejected(file_cfg, key, tmp_path, capsys, monkeypatch):
     # the flag converters would silently truncate or stringify these
@@ -277,6 +280,41 @@ class TestBoundOnlyScenario:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "tail_args, tail",
+        [(["--tail", "exact"], chaos.exact_abs_tail_q2_rank1),
+         (["--tail", "markov", "--markov-p", "6", "--markov-moment", "755"], bounds.MarkovTail(6.0, 755.0)),
+         (["--tail", "unit"], np.ones_like)],
+        ids=["exact", "markov", "unit"],
+    )
+    def test_rows_are_the_engine_records(self, tail_args, tail, tmp_path):
+        # the table is evaluate_curve's records, with the field `bounds` written as the column `bound`
+        zs = np.linspace(-8.0, 8.0, 33)
+        want = bounds.evaluate_curve(bounds.BoundInputs(0.2, 1.1, tail), zs)
+        args = ["bound-only", "--discrepancy", "1.1", "--mean-abs", "0.2", "--z-count", "33", *tail_args]
+        assert run_cli(args + ["--format", "json", "--output", tmp_path / "b.json"]) == 0
+        payload = json.loads((tmp_path / "b.json").read_text())
+        names = ["bound" if name == "bounds" else name for name in want.dtype.names]
+        assert payload["columns"] == names
+        assert payload["rows"] == [list(row) for row in want.tolist()]
+        assert run_cli(args + ["--output", tmp_path / "b.csv"]) == 0
+        lines = (tmp_path / "b.csv").read_text().splitlines()
+        assert lines[0] == ",".join(names)
+        assert [[float(cell) for cell in line.split(",")] for line in lines[1:]] == [list(row) for row in want.tolist()]
+
+    def test_memory_error_is_one_line(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate; raised here rather than by allocating one
+        def no_memory(inputs, grid):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(bounds, "evaluate_curve", no_memory)
+        out = tmp_path / "b.csv"
+        assert run_cli(["bound-only", "--discrepancy", "1", "--output", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "nubes: error in scenario bound-only: Unable to allocate 745. GiB " \
+                      "for an array with shape (100000000000,)\n"
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "args, message",
@@ -299,11 +337,15 @@ class TestBoundOnlyScenario:
         (["bound-only", "--discrepancy", "1", "--tail", "major", "--q", "2", "--c-q", "1e200"],
          "c_q=1e+200 overflows"),
         (["chaos-compare", "--tail", "major", "--c-q", "1e200", "--samples", "10"], "c_q=1e+200 overflows"),
+        # more chunks than a list can index: the layout fails before any chunk is drawn
+        (["chaos-compare", "--samples", str(10**30)], f"total={10**30} is too many items"),
+        (["expfun-compare", "--samples", str(10**30)], f"total={10**30} is too many items"),
     ],
     ids=["discrepancy", "mean-abs", "t", "n-steps", "chaos-fourth-moment-overflow", "chaos-variance-overflow",
          "expfun-moments-overflow", "expfun-rate-overflow", "expfun-variance-underflow",
          "expfun-below-float-resolution", "bound-overflow", "uniform-bound-overflow",
-         "bound-only-c-q-overflow", "chaos-compare-c-q-overflow"],
+         "bound-only-c-q-overflow", "chaos-compare-c-q-overflow", "chaos-samples-beyond-layout",
+         "expfun-samples-beyond-layout"],
 )
 def test_library_validation_reaches_the_user(args, message, tmp_path, capsys):
     # the CLI leaves these ranges to the library and reports its error on one line

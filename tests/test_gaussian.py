@@ -359,11 +359,13 @@ class TestCheckLemma:
     def test_fields_have_the_shape_of_z(self):
         zs = np.array([[0.5, 1.0, 2.0], [4.0, 6.0, 10.0]])
         rep = check_lemma(zs, np.linspace(-12.0, 12.0, 481))
+        assert isinstance(rep, np.recarray) and rep.dtype.names == _LEMMA_FIELDS
         for field in _LEMMA_FIELDS:
             assert np.shape(getattr(rep, field)) == zs.shape
         assert np.all(rep.global_bound_ok & rep.center_value_ok & rep.center_derivative_ok)
         scalar = check_lemma(2.0, [0.0, 1.0])
-        assert isinstance(scalar.worst_margin, float) and isinstance(scalar.center_value_ok, bool)
+        assert isinstance(scalar, np.record) and scalar.dtype.names == _LEMMA_FIELDS
+        assert isinstance(scalar.worst_margin, np.float64) and isinstance(scalar.center_value_ok, np.bool_)
         assert check_lemma(np.empty(0), [0.0]).worst_margin.shape == (0,)
 
     def test_rejections(self):

@@ -39,6 +39,13 @@ class TestChunkCounts:
         with pytest.raises(ValueError):
             chunk_counts(4, 0)
 
+    def test_too_many_chunks_rejected(self):
+        # 10^30 items make more chunks than a list can index: a ValueError naming total, at once
+        with pytest.raises(ValueError, match=f"total={10**30} "):
+            chunk_counts(10**30, 4096)
+        with pytest.raises(ValueError, match=f"total={10**30} "):
+            map_chunks(None, (), 0, total=10**30, chunk_size=4096, workers=1)
+
 
 class TestSubstream:
     def test_reproducible(self):

@@ -134,14 +134,13 @@ class EmpiricalTail(TailModel):
 
 
 def tail_probability(model: Callable[[np.ndarray], np.ndarray], x):
-    """Evaluate a tail model at x >= 0 (scalar or array), clamped into [0, 1]."""
+    """Evaluate a tail model at x >= 0, clamped into [0, 1]; a scalar x gives a numpy scalar."""
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa) & (xa >= 0.0)):
         raise ValueError(f"x must be finite and >= 0, got {x!r}")
     # a scalar is evaluated as a one-element array so that it takes the array
     # code path (numpy scalar arithmetic can round differently)
-    out = np.clip(model(np.atleast_1d(xa)), 0.0, 1.0)
-    return float(out[0]) if xa.ndim == 0 else out
+    return np.clip(model(np.atleast_1d(xa)), 0.0, 1.0).reshape(xa.shape)[()]
 
 
 @dataclass(frozen=True)

@@ -80,9 +80,10 @@ class DiagonalChaosSpec:
 
 
 def hermite(q: int, x):
-    """Probabilists' Hermite polynomial H_q via the three-term recurrence."""
+    """Probabilists' Hermite polynomial H_q via the three-term recurrence (a numpy scalar at a scalar x)."""
     if int(q) != q or q < 0:
         raise ValueError(f"hermite order must be an integer >= 0, got {q}")
+    q = int(q)
     xa = np.asarray(x, dtype=float)
     if q < 2:
         h = np.ones_like(xa) if q == 0 else xa.copy()
@@ -94,7 +95,7 @@ def hermite(q: int, x):
             h_next = xa * h
             h_next -= k * h_prev
             h_prev, h = h, h_next
-    return float(h) if xa.ndim == 0 else h
+    return h[()]
 
 
 def variance(spec: DiagonalChaosSpec) -> float:
@@ -184,7 +185,7 @@ def exact_cdf_q2_rank1(z):
     out = np.zeros_like(arg)
     inside = arg > 0.0  # Phi is evaluated only where the CDF is positive
     out[inside] = 2.0 * normal_cdf(np.sqrt(arg[inside])) - 1.0
-    return float(out) if za.ndim == 0 else out
+    return out[()]
 
 
 def exact_abs_tail_q2_rank1(x):

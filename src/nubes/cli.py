@@ -338,9 +338,9 @@ def _run_stein_check(cfg: dict) -> int:
     return 0 if all_ok else 2
 
 
-def _tail_model(cfg: dict):
-    """The tail cfg names, a callable on arrays of x >= 0; None for empirical,
-    which is built from the run's counts."""
+def _tail_model(cfg: dict, counts: empirical.EcdfCounts | None = None):
+    """The tail cfg names, a callable on arrays of x >= 0; the empirical tail
+    reads `counts`, the run's ECDF."""
     kind = cfg["tail"]
     if kind == "exact":
         if not (cfg["q"] == 2 and len(_parse_alphas(cfg.get("alphas", "1"))) == 1):
@@ -353,7 +353,12 @@ def _tail_model(cfg: dict):
     if kind == "expfun":
         params = expfun.ExpFunParams(a=cfg["a"], t=cfg["t"])
         return functools.partial(expfun.abs_tail_bound, params=params, m=expfun.moments(params))
-    return None if kind == "empirical" else np.ones_like
+    return bounds.EmpiricalTail(counts) if kind == "empirical" else np.ones_like
+
+
+def _curve(cfg: dict, mean_abs: float, d: float, zs: np.ndarray, counts: empirical.EcdfCounts | None = None):
+    """`bounds.evaluate_curve` on zs for |E F| = mean_abs, discrepancy d and the tail cfg names."""
+    return bounds.evaluate_curve(bounds.BoundInputs(mean_abs, d, _tail_model(cfg, counts)), zs)
 
 
 def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
@@ -379,19 +384,13 @@ def _compare(cfg: dict, sample_batch, transform, bound, summary: dict) -> int:
 
 def _run_chaos_compare(cfg: dict) -> int:
     spec = chaos.normalize(chaos.DiagonalChaosSpec(q=cfg["q"], alphas=_parse_alphas(cfg["alphas"])))
-    tail = _tail_model(cfg)
+    _tail_model(cfg)  # a bad tail option fails here, before any sampling
     m4 = chaos.fourth_moment(spec)
     d = chaos.stein_discrepancy_upper(m4, spec.q)
     summary = {"fourth_moment": m4, "stein_discrepancy": d, "uniform_bound": d, "violations": None,
                "sampling": sampling.layout(cfg["samples"], chaos.SAMPLE_CHUNK), "numpy": np.__version__}
     sample_batch = functools.partial(chaos.sample_batch, spec, cfg["samples"], cfg["seed"], workers=cfg["workers"])
-
-    def bound(zs, counts):
-        model = bounds.EmpiricalTail(counts) if tail is None else tail
-        inputs = bounds.BoundInputs(mean_abs=0.0, stein_discrepancy=d, tail=model)
-        return bounds.evaluate_curve(inputs, zs).bounds
-
-    return _compare(cfg, sample_batch, None, bound, summary)
+    return _compare(cfg, sample_batch, None, lambda zs, counts: _curve(cfg, 0.0, d, zs, counts).bounds, summary)
 
 
 def _run_expfun_compare(cfg: dict) -> int:
@@ -410,9 +409,7 @@ def _run_expfun_compare(cfg: dict) -> int:
 
 
 def _run_bound_only(cfg: dict) -> int:
-    tail = _tail_model(cfg)
-    inputs = bounds.BoundInputs(mean_abs=cfg["mean-abs"], stein_discrepancy=cfg["discrepancy"], tail=tail)
-    rows = bounds.evaluate_curve(inputs, np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"]))
+    rows = _curve(cfg, cfg["mean-abs"], cfg["discrepancy"], np.linspace(cfg["z-min"], cfg["z-max"], cfg["z-count"]))
     rows.dtype.names = ("z", "tail_term", "gaussian_term", "bound", "uniform_bound")  # in place: no copy
     _write(cfg, {"uniform_bound": float(rows.uniform_bound[0])}, rows)
     return 0

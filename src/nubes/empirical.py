@@ -59,17 +59,19 @@ class EcdfCounts:
         raise NotImplementedError
 
     def evaluate(self, z):
-        """P_hat(F <= z) as an exact count over n; vectorized over z."""
-        out = self.at_most(z) / self.n
-        return float(out) if np.ndim(z) == 0 else out
+        """P_hat(F <= z) as an exact count over n; vectorized over z (a scalar z gives a numpy scalar)."""
+        return self.at_most(z) / self.n
 
 
 @dataclass(frozen=True)
 class EmpiricalCdf(EcdfCounts):
-    """Sorted samples with count; the counts are known at every t."""
+    """Sorted samples; the counts are known at every t."""
 
     sorted_samples: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.sorted_samples.size
 
     def at_most(self, t) -> np.ndarray:
         return np.searchsorted(self.sorted_samples, t, side="right")
@@ -81,7 +83,7 @@ def build_ecdf(samples: Sequence[float]) -> EmpiricalCdf:
         raise ValueError("samples must be nonempty")
     if not np.all(np.isfinite(arr)):
         raise ValueError("samples must be finite")
-    return EmpiricalCdf(sorted_samples=np.sort(arr), n=int(arr.size))
+    return EmpiricalCdf(np.sort(arr))
 
 
 def count_chunk(samples: np.ndarray, thresholds: np.ndarray, transform: Callable | None = None) -> np.ndarray:

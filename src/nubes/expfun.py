@@ -257,11 +257,10 @@ def sample_batch(
 
 
 def standardize(f, m: ExpFunMoments):
-    """(F_t - m_t)/sigma_t; works on scalars and arrays."""
+    """(F_t - m_t)/sigma_t; works on arrays, and a scalar gives a numpy scalar."""
     if not (m.sigma2_t > 0.0 and math.isfinite(m.sigma2_t)):
         raise ValueError(f"degenerate sigma2_t={m.sigma2_t}")
-    out = (np.asarray(f, dtype=float) - m.m_t) / m.sigma_t
-    return float(out) if np.ndim(out) == 0 else out
+    return (np.asarray(f, dtype=float) - m.m_t) / m.sigma_t
 
 
 def upper_tail_bound(x, params: ExpFunParams, m: ExpFunMoments):
@@ -269,8 +268,7 @@ def upper_tail_bound(x, params: ExpFunParams, m: ExpFunMoments):
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0.0):
         raise ValueError(f"x must be >= 0, got {x!r}")
-    out = np.exp(-np.log1p(xa * m.sigma_t / m.m_t) ** 2 / (2.0 * params.t))
-    return float(out) if xa.ndim == 0 else out
+    return np.exp(-np.square(np.log1p(xa * m.sigma_t / m.m_t)) / (2.0 * params.t))
 
 
 def lower_tail_bound(x):
@@ -279,8 +277,7 @@ def lower_tail_bound(x):
     if np.any(xa < 0.0):
         raise ValueError(f"x must be >= 0, got {x!r}")
     with np.errstate(over="ignore"):  # x^2 = inf past |x| ~ 1.3e154, where the bound is 0
-        out = np.exp(-(xa**2) / 2.0)
-    return float(out) if xa.ndim == 0 else out
+        return np.exp(-np.square(xa) / 2.0)
 
 
 def abs_tail_bound(x, params: ExpFunParams, m: ExpFunMoments):
@@ -307,4 +304,4 @@ def clt_rate_bound(params: ExpFunParams, m: ExpFunMoments, z):
     upper = functools.partial(upper_tail_bound, params=params, m=m)
     curve = bounds.evaluate_curve(bounds.BoundInputs(0.0, d, upper), z)
     out = curve.bounds + d * np.sqrt(lower_tail_bound(np.abs(curve.z) / 2.0))
-    return float(out[0]) if np.ndim(z) == 0 else out
+    return out.reshape(np.shape(z))[()]

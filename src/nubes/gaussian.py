@@ -81,11 +81,6 @@ def _broadcast(z, x):
     return zb.ravel(), xb.ravel(), zb.shape
 
 
-def _shaped(out: np.ndarray, shape):
-    out = out.reshape(shape)
-    return out.item() if out.ndim == 0 else out
-
-
 def _horner(s: np.ndarray, coeffs) -> np.ndarray:
     """The polynomial with coefficients `coeffs` (highest power first) at s."""
     y = np.full_like(s, coeffs[0])
@@ -197,8 +192,6 @@ def _scaled_tail(x: np.ndarray) -> np.ndarray:
 
 def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
     """kernel(x) for a flat array x, evaluated _BLOCK elements at a time."""
-    if x.size <= _BLOCK:
-        return kernel(x)
     out = np.empty_like(x)
     for start in range(0, x.size, _BLOCK):
         out[start : start + _BLOCK] = kernel(x[start : start + _BLOCK])
@@ -206,9 +199,9 @@ def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
 
 
 def normal_cdf(x):
-    """Standard normal CDF Phi(x).  Accepts scalars or arrays."""
+    """Standard normal CDF Phi(x) of an array; a scalar gives a numpy scalar."""
     arr = _require_finite("x", x)
-    return _shaped(_blockwise(_ndtr, arr.ravel()), arr.shape)
+    return _blockwise(_ndtr, arr.ravel()).reshape(arr.shape)[()]
 
 
 def normal_tail(x):
@@ -218,7 +211,7 @@ def normal_tail(x):
     positive x (usable up to x ~ 37 before underflow).
     """
     arr = _require_finite("x", x)
-    return _shaped(_blockwise(_ndtr, -arr.ravel()), arr.shape)
+    return _blockwise(_ndtr, -arr.ravel()).reshape(arr.shape)[()]
 
 
 def scaled_tail(x):
@@ -230,7 +223,7 @@ def scaled_tail(x):
     decays like 1/x.
     """
     arr = _require_finite("x", x)
-    return _shaped(_blockwise(_scaled_tail, arr.ravel()), arr.shape)
+    return _blockwise(_scaled_tail, arr.ravel()).reshape(arr.shape)[()]
 
 
 def _seam_factor(z: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -273,7 +266,7 @@ def stein_value(z, x):
     (<= sqrt(2*pi)/2), a CDF/tail factor in [0, 1], and where needed
     exp((x^2 - z^2)/2) with a nonpositive exponent.  The factors of z alone
     are evaluated once per run of equal z, which on a (z, x) grid is once per
-    z.  Returns a float when z and x are both scalars.
+    z.  Returns a numpy scalar when z and x are both scalars.
     """
     zv, xv, shape = _broadcast(z, x)
     lower = xv <= zv
@@ -286,7 +279,7 @@ def stein_value(z, x):
     zm = zr[m]
     out[m] = _per_run(scaled_tail, zm) * _seam_factor(zm, xr[m]) * normal_cdf(xr[m])
 
-    return _shaped(out, shape)
+    return out.reshape(shape)[()]
 
 
 def stein_derivative(z, x):
@@ -297,7 +290,7 @@ def stein_derivative(z, x):
     """
     zv, xv, shape = _broadcast(z, x)
     out = xv * stein_value(zv, xv) + (xv <= zv).astype(float) - _per_run(normal_cdf, zv)
-    return _shaped(out, shape)
+    return out.reshape(shape)[()]
 
 
 def stein_ode_residual_fd(z, x):
@@ -333,7 +326,7 @@ def stein_ode_residual_fd(z, x):
         -11.0 * f(near, 0.0) + 18.0 * f(near, side) - 9.0 * f(near, 2.0 * side) + 2.0 * f(near, 3.0 * side)
     ) / (6.0 * h[near])
 
-    return _shaped(fd - stein_derivative(zv, xv), shape)
+    return (fd - stein_derivative(zv, xv)).reshape(shape)[()]
 
 
 # Inequalities are analytic facts; the tolerance only absorbs rounding.
@@ -374,4 +367,4 @@ def check_lemma(z, grid: Sequence[float]) -> np.recarray:
     ok = worst >= -LEMMA_SLACK
     rep = np.rec.fromarrays([za, *ok, worst.min(axis=0)],
                             names="z,global_bound_ok,center_value_ok,center_derivative_ok,worst_margin")
-    return rep[()] if rep.ndim == 0 else rep
+    return rep[()]

@@ -54,6 +54,12 @@ class TestHermite:
         with pytest.raises(ValueError):
             chaos.hermite(-1, 0.0)
 
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 6])
+    def test_integral_float_order(self, q):
+        xs = np.linspace(-4.0, 4.0, 17)
+        assert np.asarray(chaos.hermite(float(q), 1.5)).tobytes() == np.asarray(chaos.hermite(q, 1.5)).tobytes()
+        assert chaos.hermite(float(q), xs).tobytes() == chaos.hermite(q, xs).tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(0, 8),
@@ -67,7 +73,7 @@ class TestHermite:
         with np.errstate(over="ignore", invalid="ignore"):  # inf - inf for huge x, in both
             got, want = chaos.hermite(q, x), _hermite_reference(q, x)
         assert np.array_equal(got, want, equal_nan=True)
-        assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+        assert type(got) is (np.float64 if np.ndim(x) == 0 else np.ndarray)
         assert np.array_equal(x, before, equal_nan=True)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from nubes import bounds, chaos, empirical
 from nubes.bounds import BoundInputs, EmpiricalTail
-from nubes.empirical import ThresholdCounts, build_ecdf, certify, count_chunk, discrepancy_curve, dkw_epsilon
+from nubes.empirical import EmpiricalCdf, ThresholdCounts, build_ecdf, certify, count_chunk, discrepancy_curve, dkw_epsilon
 from nubes.gaussian import normal_cdf
 
 DKW_20000_001 = 0.011509037065006824  # sqrt(ln(200)/40000)
@@ -37,6 +37,11 @@ class TestBuildEcdf:
         assert np.all(np.diff(e.sorted_samples) >= 0.0)
         vals = e.evaluate(np.array([0.0, 1.0, 2.5, 9.0]))
         assert np.array_equal(vals, np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0]))
+
+    def test_count_is_the_number_of_samples(self):
+        e = EmpiricalCdf(np.array([1.0, 2.0]))
+        assert e.n == 2
+        assert e.evaluate(2.0) == 1.0
 
     def test_rejections(self):
         with pytest.raises(ValueError):

@@ -24,8 +24,9 @@ multiplier used by the bound engine.  The rank-one q = 2 case
 F = (N^2 - 1)/sqrt(2) additionally has an exact CDF, used as the closed-form
 oracle throughout the test and certification suites.
 
-Batch sampling runs on independently seeded substreams per fixed-size chunk
-and reduces in chunk order, so results do not depend on worker scheduling;
+Batch sampling runs on independently seeded substreams per fixed-size chunk,
+concatenated in chunk order or reduced to integer counts summed exactly, so
+results do not depend on worker scheduling;
 inside a chunk it draws one row of normals per sample from
 `sampling.draw_blocks` and sums each row's terms left to right, without BLAS,
 into the block's slice of the chunk, so a sample depends on its own normals

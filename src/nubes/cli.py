@@ -26,13 +26,13 @@ Determinism: for a fixed configuration and seed the output bytes are
 identical across runs and across --workers values (sampling is chunked onto
 SFC64 substreams keyed by chunk index, each chunk is drawn in cache-sized
 blocks in a fixed order, one row per chaos sample or per time step across a
-chunk's paths, and reductions run in chunk order, whichever worker ran a
-chunk).  --workers defaults to every usable CPU; --workers 1, like a
-one-chunk run, samples in this process.  The pool forks its processes on
-Linux, whatever the multiprocessing start method, and never holds more of
-them than chunks or usable CPUs; each holds one chunk at a time and is given
-the next one as soon as it returns a result.  Elsewhere every run samples in
-this process.  A worker that dies (a signal, the OOM killer) is an error
+chunk's paths, and the chunks' integer counts are summed exactly as they
+arrive, whichever worker ran a chunk).  --workers defaults to every usable
+CPU; --workers 1, like a one-chunk run, samples in this process.  The pool
+forks its processes on Linux, whatever the multiprocessing start method, and
+never holds more of them than chunks or usable CPUs; each holds one chunk at
+a time and is given the next one as soon as it returns a result.  Elsewhere
+every run samples in this process.  A worker that dies (a signal, the OOM killer) is an error
 that names its chunk.  The JSON summary of chaos-compare and expfun-compare
 names the bit generator, chunk size and chunk count.
 Each scenario builds its output as one numpy record array whose field names
@@ -50,7 +50,8 @@ order and omits file paths so output is byte-comparable across locations.
 Memory: chaos-compare and expfun-compare never hold the sample array.  Each
 chunk's job counts #{s <= t} at the z grid, |z|/2 and the float below -|z|/2,
 the only points where the ECDF and the empirical tail are read, and the run
-sums those counts; memory is O(chunk) whatever --samples is.
+adds those counts to a running sum as they arrive: a process holds one chunk
+of samples and the parent O(workers) chunks' counts, whatever --samples is.
 
 Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 """

@@ -18,7 +18,9 @@ samples: `count_chunk` reduces each sampling chunk, inside its own job, to
 the count at each threshold of one sorted array, and the summed counts make
 a `ThresholdCounts`, which answers at its thresholds only.  Sums of counts
 are exact in any order, so the values equal those of the ECDF of all
-samples, and memory is O(chunk) whatever the number of samples.
+samples; `sampling.map_chunks` adds them up as they arrive, so a process
+holds one chunk of samples and the parent O(workers) chunks' counts, whatever
+the number of samples.
 
 Curves and certification reports are numpy record arrays with one record per
 grid point: `r.discrepancy` reads one point's field and `curve.discrepancy`

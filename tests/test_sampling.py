@@ -9,6 +9,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import types
 import warnings
 
@@ -18,33 +19,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nubes import chaos, empirical, expfun, gaussian, sampling
-from nubes.sampling import BLOCK_NORMALS, block_rows, chunk_counts, layout, map_chunks, substream
+from nubes.sampling import BLOCK_NORMALS, block_rows, chunk_count, layout, map_chunks, substream
+
+
+def _chunk_size(rng, count):
+    """One item per chunk: its size."""
+    return np.array([count])
 
 
 class TestChunkCounts:
     def test_layouts(self):
-        assert chunk_counts(10, 4) == [4, 4, 2]
-        assert chunk_counts(8, 4) == [4, 4]
-        assert chunk_counts(3, 100) == [3]
-        assert chunk_counts(1, 1) == [1]
+        assert chunk_count(10, 4) == 3
+        assert chunk_count(8, 4) == 2
+        assert chunk_count(3, 100) == 1
+        assert chunk_count(1, 1) == 1
+        # chunk i holds min(chunk_size, total - i * chunk_size) items
+        assert map_chunks(_chunk_size, (), 0, total=10, chunk_size=4, workers=1).tolist() == [4, 4, 2]
+        assert map_chunks(_chunk_size, (), 0, total=8, chunk_size=4, workers=1).tolist() == [4, 4]
 
     def test_totals_preserved(self):
         for total in (1, 7, 64, 1000):
             for chunk in (1, 3, 64, 2048):
-                assert sum(chunk_counts(total, chunk)) == total
+                assert map_chunks(_draw, (1.0,), 0, total, chunk, workers=1).size == total
 
     def test_rejections(self):
-        with pytest.raises(ValueError):
-            chunk_counts(0, 4)
-        with pytest.raises(ValueError):
-            chunk_counts(4, 0)
+        for total, chunk_size in [(0, 4), (4, 0), (1000.5, 4), (4, 2.5), (math.nan, 4), (math.inf, 4), (4, math.inf)]:
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                chunk_count(total, chunk_size)
 
     def test_too_many_chunks_rejected(self):
-        # 10^30 items make more chunks than a list can index: a ValueError naming total, at once
+        # a chunk index goes to a worker as 8 signed bytes: 2^63 chunks at most, with a ValueError naming total beyond
+        assert chunk_count(2**63 * 4, 4) == layout(2**63 * 4, 4)["chunks"] == 2**63
+        with pytest.raises(ValueError, match=f"total={2**63 * 4 + 1} is too many items to lay out in chunks of 4"):
+            layout(2**63 * 4 + 1, 4)
         with pytest.raises(ValueError, match=f"total={10**30} "):
-            chunk_counts(10**30, 4096)
+            chunk_count(10**30, 4096)
         with pytest.raises(ValueError, match=f"total={10**30} "):
             map_chunks(None, (), 0, total=10**30, chunk_size=4096, workers=1)
+
+    @pytest.mark.parametrize("reduce", [None, np.sort], ids=["concatenate", "reduce"])
+    def test_first_chunk_starts_at_once(self, reduce):
+        # 3.8e8 chunks: nothing is built per chunk before the first one runs
+        class Started(Exception):
+            pass
+
+        def first(rng, count):
+            raise Started(count)
+
+        with pytest.raises(Started) as info:
+            map_chunks(first, (), 0, total=10**14, chunk_size=2**18, workers=1, reduce=reduce)
+        assert info.value.args == (2**18,)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_whole_float_counts(self, workers):
+        # a float with an integer value counts as that integer, as elsewhere in the library
+        rank1 = chaos.normalize(chaos.DiagonalChaosSpec(q=2, alphas=(1.0,)))
+        params = expfun.ExpFunParams(a=0.0, t=0.05)
+        want = map_chunks(_draw, (1.0,), 3, 1000, 256, workers)
+        assert np.array_equal(map_chunks(_draw, (1.0,), 3, 1000.0, 256.0, workers), want)
+        assert np.array_equal(chaos.sample_batch(rank1, 1000.0, 0, workers), chaos.sample_batch(rank1, 1000, 0, 1))
+        got = expfun.sample_batch(params, 10, 1000.0, 0, workers)
+        assert np.array_equal(got, expfun.sample_batch(params, 10, 1000, 0, 1))
+        assert layout(1000.0, 4096.0) == layout(1000, 4096) == {"bit_generator": "SFC64", "chunk_size": 4096, "chunks": 1}
+        for call in (
+            lambda: map_chunks(_draw, (1.0,), 3, 1000.5, 256, workers),
+            lambda: chaos.sample_batch(rank1, 1000.5, 0, workers),
+            lambda: expfun.sample_batch(params, 10, 1000.5, 0, workers),
+            lambda: layout(1000.5, 4096),
+        ):
+            with pytest.raises(ValueError, match=r"the number of samples must be an integer >= 1, got total=1000\.5"):
+                call()
 
 
 class TestSubstream:
@@ -138,6 +182,20 @@ class TestReduce:
         assert np.array_equal(got, empirical.count_chunk(whole, self.THRESHOLDS))
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_parent_holds_no_per_chunk_results(self, workers):
+        # 20,000 one-sample chunks: the counts are summed as they arrive, so the parent's
+        # peak does not grow with the chunk count (it held every chunk's counts before)
+        reduce = functools.partial(empirical.count_chunk, thresholds=self.THRESHOLDS)
+        tracemalloc.start()
+        try:
+            got = map_chunks(_draw, (1.0,), 8, 20_000, 1, workers, reduce=reduce)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert np.array_equal(got, empirical.count_chunk(map_chunks(_draw, (1.0,), 8, 20_000, 1, 1), self.THRESHOLDS))
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_non_finite_sample_raises_from_the_chunk_job(self, workers):
         reduce = functools.partial(empirical.count_chunk, thresholds=self.THRESHOLDS)
         with pytest.raises(ValueError, match="samples must be finite"):
@@ -145,11 +203,11 @@ class TestReduce:
 
 
 def recording_pool(sizes: list):
-    """A stand-in for `sampling._run_forked`: records the pool size and runs the jobs in this process."""
+    """A stand-in for `sampling._run_forked`: records the pool size and runs the chunks in this process."""
 
-    def run(jobs, processes):
+    def run(job, chunks, processes):
         sizes.append(processes)
-        return [sampling._run_chunk(job) for job in jobs]
+        return ((index, sampling._run_chunk(job, index)) for index in range(chunks))
 
     return run
 
@@ -319,6 +377,15 @@ def _pid_after_one_slow_chunk(rng, count, marker):
     return np.full(count, float(os.getpid()))
 
 
+def _two_shapes_then_slow(samples, marker, second):
+    """Counts of two shapes for the first two chunks to finish; every later chunk sleeps 60 s first."""
+    if _claim(marker):
+        return np.zeros(2, dtype=np.int64)
+    if not _claim(second):
+        time.sleep(60)
+    return np.zeros(3, dtype=np.int64)
+
+
 class _SlowToUnpickle(np.ndarray):
     """An array that takes 20 ms to unpickle."""
 
@@ -421,6 +488,17 @@ class TestForkedPool:
         with pytest.raises(BlockingIOError):
             map_chunks(_draw, (1.0,), seed=1, total=10, chunk_size=1, workers=2)
         no_child_left()
+
+    def test_failed_sum_reaps_its_workers(self, tmp_path, monkeypatch):
+        # the parent's running sum fails at the second result, while both workers hold a chunk
+        # that would take 60 s: they are killed, not waited for
+        monkeypatch.setattr(sampling, "_usable_cpus", lambda: 2)
+        start = time.monotonic()
+        reduce = functools.partial(_two_shapes_then_slow, marker=str(tmp_path / "first"), second=str(tmp_path / "second"))
+        with pytest.raises(ValueError, match="could not be broadcast"):
+            map_chunks(_draw, (1.0,), seed=1, total=self.TOTAL, chunk_size=256, workers=2, reduce=reduce)
+        no_child_left()
+        assert time.monotonic() - start < 30
 
     def test_interrupted_parent_reaps_its_workers(self):
         start = time.monotonic()

@@ -15,10 +15,21 @@ empirical  ECDFs from sorted samples or per-chunk threshold counts,
 sampling   Reproducible chunked SFC64 substreams, optionally reduced per chunk.
 cli        Scenario runner with bit-stable CSV/JSON output.
 
-Each public name lives on its submodule only (nubes.bounds.EmpiricalTail,
-nubes.chaos.sample_batch, ...); the package re-exports none of them.
+Submodules load on first use: `import nubes` imports none of them, nor
+numpy, and reading `nubes.chaos` imports that submodule.  So `nubes.cli` runs
+its first lines before numpy loads.  Each public name lives on its submodule
+only (nubes.bounds.EmpiricalTail, nubes.chaos.sample_batch, ...); the package
+re-exports none of them.
 """
 
-from . import bounds, chaos, cli, empirical, expfun, gaussian, sampling
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULES = frozenset({"bounds", "chaos", "cli", "empirical", "expfun", "gaussian", "sampling"})
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")  # which binds it here, so this runs once
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,8 @@ mapping a flag to (type or tuple of choices, default, help).  It defines the
 argparse flags, the keys a JSON config file may hold, the defaults, the
 choices (checked for flag and file values alike) and the order of the JSON
 "parameters" echo.  Ranges the library checks are left to it; the CLI checks
-only the grids, the output, the options a tail model requires, slack-k
+only the grids, the output (a file name whose directory exists; the file is
+opened only once the rows exist), the options a tail model requires, slack-k
 (certify sees it only after sampling) and workers (two scenarios never
 sample), all before any sampling starts.  `--tail exact` is the tail of the
 rank-one q=2 chaos, `chaos.exact_abs_tail_q2_rank1`; both scenarios that take
@@ -53,6 +54,10 @@ the only points where the ECDF and the empirical tail are read, and the run
 adds those counts to a running sum as they arrive: a process holds one chunk
 of samples and the parent O(workers) chunks' counts, whatever --samples is.
 
+Threads: importing this module sets OPENBLAS_NUM_THREADS to 1 unless it is
+already set, before numpy loads, because nothing in nubes calls BLAS; so a
+CLI process starts no OpenBLAS thread and its pool forks from one thread.
+
 Exit codes: 0 success, 2 certification violation, 1 usage or runtime error.
 """
 
@@ -63,9 +68,16 @@ import contextlib
 import functools
 import json
 import math
+import os
 import re
 import sys
 from typing import Sequence
+
+# nothing in nubes calls BLAS, so the CLI needs no OpenBLAS thread pool, whose
+# server thread spins for tens of milliseconds of CPU after numpy loads.  This
+# runs before numpy is first imported (nubes/__init__ imports no submodule); a
+# value the user has set wins.  The library modules leave the environment alone.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -220,8 +232,9 @@ def parse_config(argv: Sequence[str]) -> dict:
 def _validate(cfg: dict):
     # only what the library cannot check before the work starts
     scenario = cfg["scenario"]
-    if cfg["output"] is None:
+    if not cfg["output"]:  # an empty name would fail only once the rows exist
         raise UsageError("--output is required")
+    _check_output(cfg["output"])
     if cfg["z-count"] < 1:
         raise UsageError(f"--z-count must be >= 1, got {cfg['z-count']}")
     _check_span(cfg, "z-min", "z-max")
@@ -240,6 +253,18 @@ def _validate(cfg: dict):
     needed = {"markov": "markov-moment", "major": "c-q"}.get(cfg.get("tail"))
     if needed is not None and cfg[needed] is None:
         raise UsageError(f"--tail {cfg['tail']} requires --{needed}")
+
+
+def _check_output(path: str):
+    # a destination that cannot be opened fails now, not after the sampling;
+    # the file itself is opened (and truncated) only once the rows exist
+    if path == "-":
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"--output {path} is a directory")
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise UsageError(f"--output {path}: {parent} is not a directory")
 
 
 def _check_span(cfg: dict, lo: str, hi: str):

@@ -46,6 +46,11 @@ class TestParseConfig:
         with pytest.raises(cli.UsageError, match="output"):
             cli.parse_config(["bound-only", "--discrepancy", "1.0"])
 
+    def test_empty_output_rejected(self):
+        # open("") would fail only after the run
+        with pytest.raises(cli.UsageError, match="--output is required"):
+            cli.parse_config(["bound-only", "--discrepancy", "1.0", "--output", ""])
+
     def test_bad_format_rejected(self):
         with pytest.raises(cli.UsageError, match="format"):
             cli.parse_config(["stein-check", "--output", "x", "--format", "xml"])
@@ -575,6 +580,44 @@ def test_tail_requirements_checked_before_sampling(args, name, tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", ["chaos-compare", "expfun-compare"])
+@pytest.mark.parametrize(
+    "output, reason",
+    [
+        (os.path.join("missing", "out.csv"), ": missing is not a directory"),
+        (".", " is a directory"),
+        (os.path.join("file.csv", "out.csv"), ": file.csv is not a directory"),
+    ],
+    ids=["missing-directory", "directory", "parent-is-a-file"],
+)
+def test_bad_output_rejected_before_sampling(scenario, output, reason, tmp_path, capsys, monkeypatch):
+    # opening the output would fail only after the whole run
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before the output was checked")
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file.csv").write_bytes(b"kept")
+    monkeypatch.setattr(sampling, "_run_chunk", no_sampling)
+    assert run_cli([scenario, "--samples", "1000000", "--output", output]) == 1
+    assert capsys.readouterr().err == f"nubes: error: --output {output}{reason}\n"
+    assert (tmp_path / "file.csv").read_bytes() == b"kept"
+    assert sorted(os.listdir(tmp_path)) == ["file.csv"]
+
+
+def test_failed_run_leaves_an_existing_output_untouched(tmp_path, capsys, monkeypatch):
+    # the output is opened only once its rows exist, so a run that fails after
+    # its checks truncates nothing
+    def failing(*args, **kwargs):
+        raise ValueError("sampling failed")
+
+    monkeypatch.setattr(sampling, "_run_chunk", failing)
+    out = tmp_path / "x.csv"
+    out.write_bytes(b"kept")
+    assert run_cli(["chaos-compare", "--samples", "1000", "--output", out]) == 1
+    assert capsys.readouterr().err == "nubes: error in scenario chaos-compare: sampling failed\n"
+    assert out.read_bytes() == b"kept"
+
+
 @pytest.mark.parametrize(
     "args",
     [
@@ -675,12 +718,42 @@ def test_streamed_expfun_rows_equal_in_memory_rows(workers, tmp_path):
     assert json.loads(out.read_text())["rows"] == expected
 
 
-def _run_python(code: str) -> str:
-    """stdout of `code` run in a fresh interpreter that imports this nubes."""
+def _run_python(code: str, env: dict | None = None) -> str:
+    """stdout of `code` run in a fresh interpreter that imports this nubes,
+    with the environment `env` (default: this one)."""
     src = os.path.dirname(os.path.dirname(nubes.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = os.environ if env is None else env
+    env = dict(env, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     return proc.stdout
+
+
+def test_cli_starts_one_blas_thread():
+    # nothing in nubes calls BLAS: the CLI caps OpenBLAS before numpy loads,
+    # so its process stays single-threaded and its pool forks from one thread
+    code = ("import os, sys\n"
+            "from nubes import cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+            "print(len(os.listdir('/proc/self/task')) if sys.platform == 'linux' else 1)\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _run_python(code, env).split() == ["1", "1"]
+
+
+def test_cli_keeps_a_thread_count_the_user_set():
+    code = "import os\nfrom nubes import cli\nprint(os.environ['OPENBLAS_NUM_THREADS'])\n"
+    assert _run_python(code, dict(os.environ, OPENBLAS_NUM_THREADS="2")).strip() == "2"
+
+
+def test_library_import_sets_no_environment():
+    # only the CLI caps the threads: a library user's own numpy code keeps its
+    # BLAS threading.  `import nubes` loads no submodule; `nubes.chaos` loads one.
+    code = ("import os, sys\n"
+            "import nubes\n"
+            "print('numpy' in sys.modules)\n"
+            "nubes.chaos.normalize\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'), 'nubes.cli' in sys.modules)\n")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    assert _run_python(code, env).split() == ["False", "None", "False"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -21,3 +21,12 @@ def test_all_entries_resolve(name):
     assert module.__all__
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_loads_on_first_use(name):
+    assert getattr(nubes, name) is importlib.import_module(f"nubes.{name}")
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError, match="no attribute 'bound'"):
+        nubes.bound
